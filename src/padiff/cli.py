@@ -584,17 +584,24 @@ def _print_conjecture(rep) -> None:
 
 def cmd_verify_conjecture(args) -> int:
     started = time.monotonic()
-    name, module, _, orders = _load(args.module)
+    name, module, expected, orders = _load(args.module)
     cfg = _config(args, orders)
     rep = verify_conjecture(module, cfg)
     _print_conjecture(rep)
+    # a description file's expected block is a regression check; corpus
+    # modules are checked by `padiff corpus`
+    failed = []
+    if expected and os.path.exists(args.module):
+        failed = [k for k, ok in _corpus_checks(rep, expected).items() if not ok]
+        for key in failed:
+            print("  expected %s: mismatch" % key)
     _emit(args, {
         "command": "verify-conjecture",
         "config": _config_echo(cfg),
         "report": _digest_conjecture(rep),
     }, started)
     verdicts = [rep.verdict]
-    if not rep.transfer.consistent:
+    if not rep.transfer.consistent or failed:
         verdicts.append(FAIL)
     return _verdict_exit(*verdicts)
 

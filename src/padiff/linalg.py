@@ -254,13 +254,14 @@ class SeriesMatrix:
         if len(vec) != n:
             raise ValueError("shape mismatch")
         out = []
-        for i in range(m):
-            acc = TruncatedSeries.zero(self.p)
-            for j in range(n):
-                if self.entries[i][j].is_zero_series() or vec[j].is_zero_series():
+        for row in self.entries:
+            # the sum starts at the first product: 0 + x is x exactly
+            acc = None
+            for a, x in zip(row, vec):
+                if a.is_zero_series() or x.is_zero_series():
                     continue
-                acc = acc + self.entries[i][j] * vec[j]
-            out.append(acc)
+                acc = a * x if acc is None else acc + a * x
+            out.append(TruncatedSeries.zero(self.p) if acc is None else acc)
         return out
 
     def __matmul__(self, other: "SeriesMatrix") -> "SeriesMatrix":

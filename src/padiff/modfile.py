@@ -114,14 +114,37 @@ def parse_polynomial(text: str, p: int) -> TruncatedSeries:
     return TruncatedSeries.from_rationals(p, values)
 
 
+# Miller-Rabin with the prime bases up to 37 decides primality exactly for
+# every n below the least strong pseudoprime to all of them,
+# psi_12 = 399165290221 * 798330580441 (Sorenson and Webster, Math. Comp. 2017)
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MR_BOUND = 318665857834031151167461
+
+
 def _is_prime(n: int) -> bool:
+    """Deterministic primality test; values past _MR_BOUND are rejected."""
+    if n >= _MR_BOUND:
+        raise ModfileError("prime field %d is too large: primality is only "
+                           "decided below %d" % (n, _MR_BOUND))
     if n < 2:
         return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
+    for a in _MR_BASES:
+        if n % a == 0:
+            return n == a
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 1
     return True
 
 

@@ -136,14 +136,16 @@ class PadicNumber:
         return cls(p, abs_prec, 0, 0, None)
 
     @classmethod
-    def _from_exact(cls, q: Fraction, p: int, N: int) -> "PadicNumber":
-        if q == 0:
-            return cls(p, 0, 0, 0, _ZERO)
-        v = vp_fraction(q, p)
-        big = (q.numerator.bit_length() > DEMOTE_BITS
-               or q.denominator.bit_length() > DEMOTE_BITS)
+    def _from_exact(cls, q: Fraction, p: int, N: int,
+                    v: int | None = None) -> "PadicNumber":
+        """The value q to N digits; v, when given, is vp_fraction(q, p)."""
         num = q.numerator
+        if not num:
+            return cls(p, 0, 0, 0, _ZERO)
         den = q.denominator
+        if v is None:
+            v = vp_int(num, p) - vp_int(den, p)
+        big = num.bit_length() > DEMOTE_BITS or den.bit_length() > DEMOTE_BITS
         if v > 0:
             num //= p ** v
         elif v < 0:
@@ -159,7 +161,9 @@ class PadicNumber:
 
     @property
     def is_exact_zero(self) -> bool:
-        return self.exact is not None and not self.exact
+        # every exact nonzero value carries a unit digit (N >= 1), so
+        # u == 0 together with an exact value means the exact zero
+        return self.u == 0 and self.exact is not None
 
     @property
     def is_zeroish(self) -> bool:
@@ -260,8 +264,8 @@ class PadicNumber:
             a = min(self.v + self.N, other.v + other.N)
             if q == 0:
                 return PadicNumber.exact_zero(p)
-            N = max(a - vp_fraction(q, p), 1)
-            return PadicNumber._from_exact(q, p, N)
+            v = vp_fraction(q, p)
+            return PadicNumber._from_exact(q, p, max(a - v, 1), v)
         a = min(self.abs_prec, other.abs_prec)  # finite: one side is capped
         a = int(a)
         base = min(self.val_lower_bound(), other.val_lower_bound())
@@ -300,8 +304,9 @@ class PadicNumber:
         if self.is_exact_zero or other.is_exact_zero:
             return PadicNumber.exact_zero(p)
         if self.exact is not None and other.exact is not None:
+            # valuations of exact nonzero values are exact, so they add
             return PadicNumber._from_exact(self.exact * other.exact, p,
-                                           min(self.N, other.N))
+                                           min(self.N, other.N), self.v + other.v)
         if self.u == 0 or other.u == 0:
             # |x*y| <= p**-(bound_x + bound_y)
             return PadicNumber.inexact_zero(p, self.v + other.v)
@@ -320,7 +325,7 @@ class PadicNumber:
             return self
         if self.exact is not None and other.exact is not None:
             return PadicNumber._from_exact(self.exact / other.exact, p,
-                                           min(self.N, other.N))
+                                           min(self.N, other.N), self.v - other.v)
         if self.u == 0:
             return PadicNumber.inexact_zero(p, self.v - other.v)
         N = self._result_rel_prec(other)

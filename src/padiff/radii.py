@@ -120,26 +120,33 @@ class PowerIterates:
             mats.append(nxt)
             cur = nxt
         self.mats = mats
+        self._column_betas: dict = {}
 
     def tail_range(self, tail_frac: float) -> range:
         lo = max(int(self.count * tail_frac), 1)
         return range(lo, self.count + 1)
 
     def matrix_beta(self, r: Fraction, tail_frac: float):
-        """max over the tail of |M_s|_rho ** (1/s), as a log_p Fraction."""
+        """max over the tail of |M_s|_rho ** (1/s), as a log_p Fraction.
+
+        A max over tail iterates and entries is the max of the column
+        betas, so every entry is read once per radius.
+        """
         best = None
         flags = set()
-        for s in self.tail_range(tail_frac):
-            g, fl = _matrix_norm(self.mats[s], r)
+        for j in range(self.module.rank):
+            val, _, fl = self.column_beta(r, tail_frac, j)
             flags.update(fl)
-            if g is None:
-                continue
-            val = Fraction(g, s)
-            if best is None or val > best:
+            if val is not None and (best is None or val > best):
                 best = val
         return best, tuple(sorted(flags))
 
     def column_beta(self, r: Fraction, tail_frac: float, j: int):
+        """(beta, zero_certified, flags) of column j; read once per radius."""
+        key = (r, tail_frac, j)
+        cached = self._column_betas.get(key)
+        if cached is not None:
+            return cached
         best = None
         flags = set()
         zero_certified = True
@@ -155,7 +162,9 @@ class PowerIterates:
             val = Fraction(g, s)
             if best is None or val > best:
                 best = val
-        return best, zero_certified, tuple(sorted(flags))
+        out = (best, zero_certified, tuple(sorted(flags)))
+        self._column_betas[key] = out
+        return out
 
     def vector_beta_probes(self, r: Fraction, vec: list[TruncatedSeries]):
         """beta of a combined column, sampled at a few late iterates.
@@ -227,21 +236,6 @@ def _polynomial_lift(vec: list[TruncatedSeries],
             return vec
         out.append(TruncatedSeries(c.p, list(c.coeffs[:last + 1]), True))
     return out
-
-
-def _matrix_norm(mat: SeriesMatrix, r: Fraction):
-    best = None
-    flags = set()
-    for row in mat.entries:
-        for cell in row:
-            g = cell.gauss_norm(r)
-            if g.indeterminate:
-                flags.add("indeterminate")
-            if g.boundary:
-                flags.add("window_edge")
-            if g.exponent is not None and (best is None or g.exponent > best):
-                best = g.exponent
-    return best, flags
 
 
 def _vector_norm(vec: list[TruncatedSeries], r: Fraction):

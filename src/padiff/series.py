@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from padiff.padic import DEFAULT_PRECISION, PadicNumber, PrecisionError
+from padiff.padic import DEFAULT_PRECISION, PadicNumber, PrecisionError, vp_int
 
 
 @dataclass(frozen=True)
@@ -223,12 +223,17 @@ class TruncatedSeries:
         if self.p != other.p:
             raise ValueError("mixed primes")
         w = self._common_window(other)
-        hi = max(self.order, other.order) if w is None else w
-        out = []
-        for i in range(hi + 1):
-            a = self.coefficient(i)
-            b = other.coefficient(i)
-            out.append(a + b if sign > 0 else a - b)
+        a, b = self.coeffs, other.coeffs
+        if w is not None:
+            a, b = a[:w + 1], b[:w + 1]
+        # past the shorter operand the other side is an exact zero
+        # (a tail_exact pad), and x +- 0 is x while 0 - y is -y
+        if sign > 0:
+            out = [x + y for x, y in zip(a, b)]
+            out += a[len(b):] or b[len(a):]
+        else:
+            out = [x - y for x, y in zip(a, b)]
+            out += a[len(b):] or [-y for y in b[len(a):]]
         return TruncatedSeries(self.p, out, w is None)
 
     def __add__(self, other):
@@ -250,14 +255,14 @@ class TruncatedSeries:
         hi = self.order + other.order if w is None else w
         zero = PadicNumber.exact_zero(self.p)
         out = [zero] * (hi + 1)
+        terms = [(j, b) for j, b in enumerate(other.coeffs) if not b.is_exact_zero]
         for i, a in enumerate(self.coeffs):
             if a.is_exact_zero:
                 continue
-            jmax = min(other.order, hi - i)
-            for j in range(jmax + 1):
-                b = other.coeffs[j]
-                if b.is_exact_zero:
-                    continue
+            jmax = hi - i
+            for j, b in terms:
+                if j > jmax:
+                    break
                 out[i + j] = out[i + j] + a * b
         return TruncatedSeries(self.p, out, w is None)
 
@@ -267,9 +272,20 @@ class TruncatedSeries:
             if self.tail_exact:
                 return TruncatedSeries.zero(self.p)
             raise ValueError("window too small to differentiate")
-        out = [PadicNumber.from_int(i + 1, self.p) * self.coeffs[i + 1]
-               for i in range(self.order)]
-        return TruncatedSeries(self.p, out, self.tail_exact)
+        p = self.p
+        out = []
+        for i in range(1, self.order + 1):
+            c = self.coeffs[i]
+            if c.is_exact_zero:
+                out.append(c)
+            elif c.exact is not None:
+                # what from_int(i) * c gives, without building from_int(i)
+                out.append(PadicNumber._from_exact(c.exact * i, p,
+                                                   min(DEFAULT_PRECISION, c.N),
+                                                   c.v + vp_int(i, p)))
+            else:
+                out.append(PadicNumber.from_int(i, p) * c)
+        return TruncatedSeries(p, out, self.tail_exact)
 
     def invert(self, order: int | None = None) -> "TruncatedSeries":
         """Multiplicative inverse; the constant term must be determinate."""
@@ -346,21 +362,26 @@ class TruncatedSeries:
         r = Fraction(r)
         if r < 0:
             raise ValueError("radius exponent must be >= 0")
-        best: Fraction | None = None
+        # with r = a/b every exponent -v - r*i is key/b for the integer
+        # key -v*b - a*i, so the scan compares integers only
+        a, b = r.numerator, r.denominator
+        best = None
         attained = None
-        pending: list[Fraction] = []
+        pending = None          # largest key of an inexact zero
         for i, c in enumerate(self.coeffs):
-            if c.is_exact_zero:
-                continue
-            e = Fraction(-c.v) - r * i
-            if c.u == 0:
-                pending.append(e)
-            elif best is None or e > best:
-                best = e
-                attained = i
-        indeterminate = any(e > best for e in pending) if best is not None else bool(pending)
+            if c.u:
+                key = -c.v * b - a * i
+                if best is None or key > best:
+                    best = key
+                    attained = i
+            elif c.exact is None:
+                key = -c.v * b - a * i
+                if pending is None or key > pending:
+                    pending = key
+        indeterminate = pending is not None and (best is None or pending > best)
         boundary = (not self.tail_exact) and attained == self.order
-        return GaussNorm(best, attained, boundary, indeterminate)
+        return GaussNorm(None if best is None else Fraction(best, b), attained,
+                         boundary, indeterminate)
 
     def growth_profile(self, lo: int, hi: int) -> GrowthProfile:
         """Growth estimates from coefficients lo..hi (indices >= 1 only)."""

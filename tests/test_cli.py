@@ -15,7 +15,8 @@ import pytest
 import padiff
 from padiff.cli import main
 from padiff.diffmod import H0Report, DifferentialModule
-from padiff.modfile import ModfileError, parse_module, parse_polynomial
+from padiff.modfile import (ModfileError, _is_prime, module_from_json,
+                            parse_module, parse_polynomial)
 
 DESCRIPTIONS = Path(padiff.__file__).parent / "descriptions"
 
@@ -75,6 +76,42 @@ def test_parse_module_rejects_composite_prime(tmp_path):
         "rank": 1, "matrix": [["1"]]}))
     with pytest.raises(ModfileError, match="not prime"):
         parse_module(path)
+
+
+def _rank1_doc(prime) -> dict:
+    return {"format": "padiff-module-v1", "name": "big", "prime": prime,
+            "rank": 1, "matrix": [["1"]]}
+
+
+def test_is_prime_large_values_fast():
+    # Miller-Rabin: a 61-bit Mersenne prime is decided at once, and a
+    # module is built at it (never solved)
+    assert _is_prime(2 ** 61 - 1)
+    _, module, _ = module_from_json(_rank1_doc(2 ** 61 - 1))
+    assert module.p == 2 ** 61 - 1
+    assert [n for n in range(30) if _is_prime(n)] == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
+
+
+@pytest.mark.parametrize("n", [
+    561, 41041,                     # Carmichael numbers
+    2 ** 61 + 1,                    # divisible by 3
+    3825123056546413051,            # strong pseudoprime to the bases up to 31
+])
+def test_is_prime_rejects_composites(n):
+    assert not _is_prime(n)
+    with pytest.raises(ModfileError, match="not prime"):
+        module_from_json(_rank1_doc(n))
+
+
+@pytest.mark.parametrize("n", [
+    318665857834031151167461,       # strong pseudoprime to the bases up to 37
+    2 ** 89 - 1,                    # a prime past the exact range
+])
+def test_is_prime_rejects_values_past_the_bound(n):
+    with pytest.raises(ModfileError, match="too large"):
+        _is_prime(n)
+    with pytest.raises(ModfileError, match="too large"):
+        module_from_json(_rank1_doc(n))
 
 
 def test_parse_module_rejects_shape_mismatch(tmp_path):
@@ -172,6 +209,21 @@ def test_cli_json_deterministic_modulo_timestamp(tmp_path):
                  if '"timestamp"' not in ln]
         outs.append(lines)
     assert outs[0] == outs[1]
+
+
+def test_cli_conjecture_checks_expected_block(tmp_path, capsys):
+    doc = json.loads((DESCRIPTIONS / "ex44.json").read_text())
+    assert run("verify-conjecture", str(DESCRIPTIONS / "ex44.json"),
+               "--order", "200", "--iterates", "120") == 0
+    assert "mismatch" not in capsys.readouterr().out
+    doc["expected"]["h0_dim"] = 2
+    path = tmp_path / "ex44_wrong.json"
+    path.write_text(json.dumps(doc))
+    assert run("verify-conjecture", str(path),
+               "--order", "200", "--iterates", "120") == 1
+    out = capsys.readouterr().out
+    assert "expected h0_dim: mismatch" in out
+    assert "boundary_log_radii: mismatch" not in out
 
 
 def test_cli_conjecture_report_schema(tmp_path):

@@ -18,7 +18,7 @@ from padiff.diffmod import DifferentialModule
 from padiff.linalg import SeriesMatrix, invert_regular, kernel_basis, smith_normal_form
 from padiff.padic import PadicNumber
 from padiff.radii import RadiusWorkbench, omega_exponent
-from padiff.series import TruncatedSeries
+from padiff.series import GaussNorm, TruncatedSeries
 
 SUITE = settings(max_examples=1000, derandomize=True, deadline=None,
                  suppress_health_check=[HealthCheck.too_slow,
@@ -218,3 +218,178 @@ def test_f_profile_trivial_is_linear(p, m, rs):
     assert prof.convex and prof.nondecreasing
     for r, partial in prof.rows:
         assert partial == tuple((k + 1) * r for k in range(m))
+
+
+# ----------------------------------------------------------------------
+# kernels against their per-coefficient reference loops
+#
+# Each reference below is the straightforward loop the kernel replaced.
+# The kernels must return == values: v, u, N and the exact value of
+# every coefficient, so the precision shadow N of exact values is
+# pinned too.
+
+
+def ref_gauss_norm(f: TruncatedSeries, r) -> GaussNorm:
+    r = Fraction(r)
+    best = None
+    attained = None
+    pending = []
+    for i, c in enumerate(f.coeffs):
+        if c.exact is not None and not c.exact:
+            continue
+        e = Fraction(-c.v) - r * i
+        if c.u == 0:
+            pending.append(e)
+        elif best is None or e > best:
+            best = e
+            attained = i
+    indeterminate = any(e > best for e in pending) if best is not None else bool(pending)
+    boundary = (not f.tail_exact) and attained == f.order
+    return GaussNorm(best, attained, boundary, indeterminate)
+
+
+def ref_derive(f: TruncatedSeries) -> TruncatedSeries:
+    if f.order == 0:
+        if f.tail_exact:
+            return TruncatedSeries.zero(f.p)
+        raise ValueError("window too small to differentiate")
+    out = [PadicNumber.from_int(i + 1, f.p) * f.coeffs[i + 1]
+           for i in range(f.order)]
+    return TruncatedSeries(f.p, out, f.tail_exact)
+
+
+def ref_addsub(f: TruncatedSeries, g: TruncatedSeries, sign: int) -> TruncatedSeries:
+    w = f._common_window(g)
+    hi = max(f.order, g.order) if w is None else w
+    out = []
+    for i in range(hi + 1):
+        a = f.coefficient(i)
+        b = g.coefficient(i)
+        out.append(a + b if sign > 0 else a - b)
+    return TruncatedSeries(f.p, out, w is None)
+
+
+def ref_mul(f: TruncatedSeries, g: TruncatedSeries) -> TruncatedSeries:
+    w = f._common_window(g)
+    hi = f.order + g.order if w is None else w
+    out = [PadicNumber.exact_zero(f.p)] * (hi + 1)
+    for i, a in enumerate(f.coeffs):
+        if a.is_exact_zero:
+            continue
+        for j in range(min(g.order, hi - i) + 1):
+            b = g.coeffs[j]
+            if b.is_exact_zero:
+                continue
+            out[i + j] = out[i + j] + a * b
+    return TruncatedSeries(f.p, out, w is None)
+
+
+def ref_matvec(A: SeriesMatrix, vec: list[TruncatedSeries]) -> list[TruncatedSeries]:
+    out = []
+    for row in A.entries:
+        acc = TruncatedSeries.zero(A.p)
+        for a, x in zip(row, vec):
+            if a.is_zero_series() or x.is_zero_series():
+                continue
+            acc = acc + a * x
+        out.append(acc)
+    return out
+
+
+# A coefficient is drawn as one integer code and decoded at the prime:
+# a single primitive draw per coefficient keeps case generation cheap.
+COEFF_CODES = st.integers(0, 2 ** 24)
+series_specs = st.lists(COEFF_CODES, min_size=1, max_size=7)
+TAIL_PAIRINGS = st.sampled_from(((True, True), (True, False),
+                                 (False, True), (False, False)))
+
+
+def make_coeff(p: int, code: int) -> PadicNumber:
+    """Exact (with a full or a shrunken precision shadow N), capped,
+    inexact-zero or exact-zero, by code % 6."""
+    kind, rest = code % 6, code // 6
+    if kind < 2:
+        rest, num = divmod(rest, 8)
+        rest, den = divmod(rest, 6)
+        num = num - 4 if num < 4 else num - 3      # nonzero, -4..4
+        N = (1, 2, 5, 48, 60)[rest % 5]
+        return PadicNumber.from_rational(num, den + 1, p, N)
+    if kind < 4:
+        rest, v = divmod(rest, 7)
+        u, N = divmod(rest, 6)
+        return PadicNumber.approximate(p, v - 3, u, N + 1)
+    if kind == 4:
+        return PadicNumber.inexact_zero(p, rest % 7 - 2)
+    return PadicNumber.exact_zero(p)
+
+
+def make_series(p: int, specs, tail_exact: bool) -> TruncatedSeries:
+    return TruncatedSeries(p, [make_coeff(p, c) for c in specs], tail_exact)
+
+
+def same_outcome(kernel, reference):
+    """Both return == values, or both raise the same exception type."""
+    try:
+        want = reference()
+    except Exception as exc:  # noqa: BLE001 - the kernel must match it
+        try:
+            kernel()
+        except type(exc):
+            return
+        raise AssertionError("kernel returned where the reference raised %r" % exc)
+    assert kernel() == want
+
+
+@given(PRIMES, series_specs, st.booleans(),
+       st.sampled_from((Fraction(0), Fraction(1, 4), Fraction(1, 3),
+                        Fraction(5, 8), Fraction(2))))
+@SUITE
+def test_gauss_norm_matches_reference(p, specs, tail_exact, r):
+    f = make_series(p, specs, tail_exact)
+    assert f.gauss_norm(r) == ref_gauss_norm(f, r)
+
+
+@given(PRIMES, series_specs, st.booleans())
+@SUITE
+def test_derive_matches_reference(p, specs, tail_exact):
+    f = make_series(p, specs, tail_exact)
+    same_outcome(f.derive, lambda: ref_derive(f))
+
+
+@given(PRIMES, series_specs, series_specs, TAIL_PAIRINGS)
+@SUITE
+def test_series_add_sub_mul_match_reference(p, specs_f, specs_g, tails):
+    f = make_series(p, specs_f, tails[0])
+    g = make_series(p, specs_g, tails[1])
+    assert f + g == ref_addsub(f, g, 1)
+    assert f - g == ref_addsub(f, g, -1)
+    assert g - f == ref_addsub(g, f, -1)
+    assert f * g == ref_mul(f, g)
+
+
+@given(PRIMES, st.sampled_from(((1, 1), (1, 2), (2, 2), (2, 3))),
+       st.lists(st.tuples(series_specs, st.booleans()), min_size=9, max_size=9))
+@SUITE
+def test_matvec_matches_reference(p, shape, pool):
+    m, n = shape
+    cells = [make_series(p, specs, tail) for specs, tail in pool]
+    A = SeriesMatrix(p, [cells[i * n:(i + 1) * n] for i in range(m)])
+    vec = cells[m * n:m * n + n]
+    assert A.matvec(vec) == ref_matvec(A, vec)
+
+
+@given(PRIMES, COEFF_CODES, COEFF_CODES, st.sampled_from(("add", "sub", "mul", "div")))
+@SUITE
+def test_exact_values_carry_a_unit_digit(p, spec_x, spec_y, op):
+    # is_exact_zero reads u == 0 first; that is sound only while every
+    # exact nonzero value has N >= 1 and a unit digit u
+    x, y = make_coeff(p, spec_x), make_coeff(p, spec_y)
+    try:
+        z = {"add": x.__add__, "sub": x.__sub__, "mul": x.__mul__,
+             "div": x.__truediv__}[op](y)
+    except ArithmeticError:
+        return
+    for c in (x, y, z, -z):
+        if c.exact is not None and c.exact != 0:
+            assert c.N >= 1 and c.u % c.p != 0
+        assert c.is_exact_zero == (c.exact is not None and c.exact == 0)

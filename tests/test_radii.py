@@ -71,6 +71,22 @@ def test_iterate_count_beyond_window_rejected():
         PowerIterates(build("hypergeom_half_p5").module, 400)
 
 
+def test_tail_entries_read_once_per_radius(monkeypatch):
+    # matrix_beta and every column_beta share one Gauss norm read per
+    # tail entry and radius
+    it = PowerIterates(build("ex44_p5").module, 40)
+    reads = []
+    real = TruncatedSeries.gauss_norm
+    monkeypatch.setattr(TruncatedSeries, "gauss_norm",
+                        lambda self, r: reads.append(r) or real(self, r))
+    for r in (F(1, 4), F(1, 8)):
+        top, _ = it.matrix_beta(r, 0.5)
+        cols = [it.column_beta(r, 0.5, j)[0] for j in range(2)]
+        assert top == max(cols)
+        it.matrix_beta(r, 0.5)
+    assert len(reads) == 2 * len(it.tail_range(0.5)) * 4
+
+
 # ----------------------------------------------------------------------
 # top radius
 

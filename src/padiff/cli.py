@@ -28,7 +28,6 @@ from fractions import Fraction
 
 from padiff import corpus
 from padiff.config import WorkbenchConfig
-from padiff.diffmod import DifferentialModule
 from padiff.modfile import ModfileError, _entry_to_json, parse_module
 from padiff.pipeline import (
     FAIL,
@@ -155,8 +154,6 @@ def _config(args, orders: dict | None = None) -> WorkbenchConfig:
     if args.tolerance_growth is not None:
         cfg = replace(cfg, verify=replace(cfg.verify,
                                           growth_tolerance=args.tolerance_growth))
-    if args.seed is not None:
-        cfg = replace(cfg, seed=args.seed)
     if args.jobs is not None:
         if args.jobs < 1:
             raise UsageError("--jobs must be at least 1")
@@ -172,7 +169,6 @@ def _config_echo(cfg: WorkbenchConfig) -> dict:
         "growth_tolerance": _dec(cfg.verify.growth_tolerance),
         "transfer_tolerance": _dec(cfg.verify.transfer_tolerance),
         "jobs": cfg.jobs,
-        "seed": cfg.seed,
     }
 
 
@@ -199,6 +195,15 @@ def _digest_boundary(b) -> dict:
         "residual_ok": list(b.residual_ok),
         "grid": [str(r) for r in b.grid],
         "solvable_rank": b.solvable_rank,
+    }
+
+
+def _digest_multiset(ms) -> dict:
+    return {
+        "r": str(ms.log_rho),
+        "log_radii": [_rad(v) for v in ms.log_radii],
+        "provenance": list(ms.provenance),
+        "certified": list(ms.certified),
     }
 
 
@@ -392,12 +397,7 @@ def cmd_radii(args) -> int:
         r = Fraction(1, k)
         ms = wb.multiset(r)
         print("  r=%s: %s" % (r, ", ".join(str(v) for v in ms.log_radii)))
-        grid_rows.append({
-            "r": str(r),
-            "log_radii": [_rad(v) for v in ms.log_radii],
-            "provenance": list(ms.provenance),
-            "certified": list(ms.certified),
-        })
+        grid_rows.append(_digest_multiset(ms))
     doc = {
         "command": "radii",
         "module": name,
@@ -413,12 +413,7 @@ def cmd_radii(args) -> int:
         rho = "1" if r == 0 else "p^-%s" % r
         print("  sample at rho=%s: %s"
               % (rho, ", ".join("p^(%s)" % v for v in ms.log_radii)))
-        doc["sample"] = {
-            "r": str(r),
-            "log_radii": [_rad(v) for v in ms.log_radii],
-            "provenance": list(ms.provenance),
-            "certified": list(ms.certified),
-        }
+        doc["sample"] = _digest_multiset(ms)
     _emit(args, doc, started)
     return 0
 
@@ -654,14 +649,19 @@ def cmd_corpus(args) -> int:
             raise UsageError("unknown corpus modules: %s" % ", ".join(unknown))
         selected = [n for n in selected if n in wanted]
     if args.skip:
-        dropped = {t.strip() for t in args.skip.split(",")}
+        dropped = {t.strip() for t in args.skip.split(",") if t.strip()}
+        unknown = sorted(dropped - set(selected))
+        if unknown:
+            raise UsageError("unknown corpus modules: %s" % ", ".join(unknown))
         selected = [n for n in selected if n not in dropped]
     if not selected:
         raise UsageError("corpus selection is empty")
 
     payloads = [(name, cfg) for name in selected]
-    if cfg.jobs > 1:
-        with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
+    # the pool forks every worker up front, so never more than can be busy
+    workers = min(cfg.jobs, len(selected), os.cpu_count() or 1)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_corpus_job, payloads))
     else:
         results = [_corpus_job(p) for p in payloads]
@@ -707,8 +707,6 @@ def _build_parser() -> _Parser:
     common.add_argument("--tolerance-growth", dest="tolerance_growth",
                         type=float, metavar="X",
                         help="slack on log-growth bounds")
-    common.add_argument("--seed", type=int, metavar="N",
-                        help="seed echoed into reports")
     common.add_argument("--jobs", type=int, metavar="N",
                         help="parallel workers for batch runs")
 

@@ -54,7 +54,6 @@ class WorkbenchConfig:
     radii: RadiiConfig = field(default_factory=RadiiConfig)
     verify: VerifyConfig = field(default_factory=VerifyConfig)
     jobs: int = 1
-    seed: int = 0
 
     def scaled(self, order: int | None = None, iterates: int | None = None) -> "WorkbenchConfig":
         solve = self.solve if order is None else replace(self.solve, order=order)

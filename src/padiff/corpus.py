@@ -183,10 +183,6 @@ def names() -> list[str]:
     return list(_REGISTRY)
 
 
-def all_entries() -> list[CorpusEntry]:
-    return [build(n) for n in names()]
-
-
 _REGISTRY = {
     "ex44_p3": partial(ex44, 3),
     "ex44_p5": partial(ex44, 5),

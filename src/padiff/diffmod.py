@@ -19,7 +19,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from padiff.config import SolveConfig
-from padiff.linalg import SeriesMatrix, field_kernel, invert_regular
+from padiff.linalg import SeriesMatrix, field_kernel
 from padiff.padic import PadicNumber, PrecisionError
 from padiff.series import TruncatedSeries
 
@@ -91,28 +91,6 @@ class DifferentialModule:
         label = "+".join(x for x in (self.label, other.label) if x)
         return DifferentialModule(SeriesMatrix(p, entries), label=label)
 
-    def tensor(self, other: "DifferentialModule") -> "DifferentialModule":
-        m, n = self.rank, other.rank
-        p = self.p
-        Z = TruncatedSeries.zero(p)
-        size = m * n
-        entries = [[Z] * size for _ in range(size)]
-        for i in range(m):
-            for k in range(m):
-                a = self.matrix.entries[i][k]
-                if a.is_zero_series():
-                    continue
-                for j in range(n):
-                    entries[i * n + j][k * n + j] = entries[i * n + j][k * n + j] + a
-        for j in range(n):
-            for l in range(n):
-                b = other.matrix.entries[j][l]
-                if b.is_zero_series():
-                    continue
-                for i in range(m):
-                    entries[i * n + j][i * n + l] = entries[i * n + j][i * n + l] + b
-        return DifferentialModule(SeriesMatrix(p, entries))
-
     def wedge(self, k: int) -> "DifferentialModule":
         """k-th exterior power on the lexicographic basis of k-subsets."""
         m = self.rank
@@ -146,15 +124,6 @@ class DifferentialModule:
                     else:
                         entries[row][col] = entries[row][col] - cell
         return DifferentialModule(SeriesMatrix(p, entries))
-
-    def gauge_transform(self, g: SeriesMatrix, order: int | None = None) -> "DifferentialModule":
-        """Rewrite in the frame e' = e g: the matrix becomes g^-1 (A g + g')."""
-        if order is None:
-            w = self.matrix.max_known_order()
-            order = w if w is not None else 4 * (self.matrix.poly_degree() + 1)
-        ginv = invert_regular(g, order)
-        moved = (self.matrix @ g) + g.derive()
-        return DifferentialModule((ginv @ moved).truncate(order))
 
     # ------------------------------------------------------------------
     # horizontal sections

@@ -5,7 +5,8 @@ matrices of ``PadicNumber`` with largest-norm pivoting; an undetermined
 rank raises ``PrecisionError`` instead of guessing.  The series layer
 diagonalises matrices over Q_p[[t]] truncated at a working order: a
 Smith normal form with monomial divisors t**e, the transforms kept so
-kernels and linear solves come with reconstruction certificates.
+kernels come with reconstruction certificates, and coefficient-wise
+regular solves against frames invertible at t = 0.
 """
 
 from __future__ import annotations
@@ -122,40 +123,6 @@ def field_solve(matrix: list[list[PadicNumber]], rhs: list[PadicNumber],
     return x
 
 
-def field_inverse(matrix: list[list[PadicNumber]], p: int) -> list[list[PadicNumber]]:
-    n = len(matrix)
-    one = PadicNumber.from_int(1, p)
-    zero = PadicNumber.exact_zero(p)
-    rows = [list(matrix[i]) + [one if j == i else zero for j in range(n)]
-            for i in range(n)]
-    pivots = field_rref(rows, n)
-    if len(pivots) < n:
-        raise NoSolutionError("matrix is singular", certificate=("rank", len(pivots)))
-    return [row[n:] for row in rows]
-
-
-def field_det(matrix: list[list[PadicNumber]], p: int) -> PadicNumber:
-    n = len(matrix)
-    rows = [list(r) for r in matrix]
-    det = PadicNumber.from_int(1, p)
-    for col in range(n):
-        i = _field_pivot(rows, col, col)
-        if i is None:
-            return PadicNumber.exact_zero(p)
-        if i != col:
-            rows[col], rows[i] = rows[i], rows[col]
-            det = -det
-        piv = rows[col][col]
-        det = det * piv
-        for k in range(col + 1, n):
-            f = rows[k][col]
-            if f.is_exact_zero:
-                continue
-            f = f / piv
-            rows[k] = [a - f * b for a, b in zip(rows[k], rows[col])]
-    return det
-
-
 # ----------------------------------------------------------------------
 # series layer
 
@@ -233,11 +200,6 @@ class SeriesMatrix:
     def __neg__(self):
         return self.map(lambda c: -c)
 
-    def scale(self, c) -> "SeriesMatrix":
-        if isinstance(c, PadicNumber):
-            return self.map(lambda x: x.scale(c))
-        return self.map(lambda x: x * c)
-
     def transpose(self) -> "SeriesMatrix":
         m, n = self.shape
         return SeriesMatrix(self.p, [[self.entries[i][j] for i in range(m)]
@@ -292,9 +254,6 @@ class SeriesMatrix:
 
     def poly_degree(self) -> int:
         return max(c.order for row in self.entries for c in row)
-
-    def to_json(self) -> dict:
-        return {"rows": [[c.to_json() for c in row] for row in self.entries]}
 
     def __repr__(self):
         m, n = self.shape
@@ -527,37 +486,3 @@ def invert_regular(H: SeriesMatrix, order: int) -> SeriesMatrix:
     if m != n:
         raise ValueError("inverse of a non-square matrix")
     return solve_regular(H, SeriesMatrix.identity(H.p, n), order)
-
-
-def solve_linear(A: SeriesMatrix, b: list[TruncatedSeries],
-                 working_order: int | None = None) -> list[TruncatedSeries]:
-    """Solve A x = b over the series ring via the diagonal form.
-
-    Divisibility by each divisor t**e is checked; failure raises
-    NoSolutionError with the obstructing row and divisor.
-    """
-    p = A.p
-    m, n = A.shape
-    dec = smith_normal_form(A, working_order)
-    c = dec.U.matvec(b)
-    y: list[TruncatedSeries] = []
-    for k in range(min(m, n)):
-        e = dec.exponents[k]
-        if e is None:
-            if c[k].t_order_info()[0] is not None:
-                raise NoSolutionError("row %d hits a zero divisor" % k,
-                                      certificate=("zero_divisor", k))
-            y.append(TruncatedSeries.zero(p))
-            continue
-        try:
-            y.append(c[k].divide(dec.divisors[k]))
-        except ValueError:
-            raise NoSolutionError(
-                "row %d not divisible by t**%d" % (k, e),
-                certificate=("divisor", k, e)) from None
-    y += [TruncatedSeries.zero(p) for _ in range(min(m, n), n)]
-    for k in range(min(m, n), m):
-        if c[k].t_order_info()[0] is not None:
-            raise NoSolutionError("row %d inconsistent" % k,
-                                  certificate=("overdetermined", k))
-    return dec.V.matvec(y)

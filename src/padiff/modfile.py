@@ -23,6 +23,13 @@ from padiff.series import TruncatedSeries
 
 FORMAT = "padiff-module-v1"
 
+# size bounds on a description file, so a careless or hostile one cannot
+# exhaust memory: 10**4 is the largest coefficient window in use
+MAX_DEGREE = 10 ** 4
+MAX_COEFFS = 10 ** 4
+MAX_ORDER = 10 ** 4
+MAX_RANK = 8
+
 
 class ModfileError(ValueError):
     """A module file failed to parse or validate."""
@@ -103,6 +110,10 @@ def parse_polynomial(text: str, p: int) -> TruncatedSeries:
                 i += 1
                 if peek() is None or not peek().isdigit():
                     raise ModfileError("expected an exponent after '^'")
+                # a bound on the digit count keeps int() cheap too
+                if len(tokens[i]) > len(str(MAX_DEGREE)) or int(tokens[i]) > MAX_DEGREE:
+                    raise ModfileError("exponent exceeds the degree bound %d"
+                                       % MAX_DEGREE)
                 power = int(tokens[i])
                 i += 1
         elif not have_coeff:
@@ -174,25 +185,13 @@ def _entry_from_json(value, p: int) -> TruncatedSeries:
     if isinstance(value, str):
         return parse_polynomial(value, p)
     if isinstance(value, list):
-        coeffs = [_coeff_from_json(v, p) for v in value]
-        return TruncatedSeries(p, coeffs, True)
-    coeffs = [_coeff_from_json(v, p) for v in value["coefficients"]]
-    return TruncatedSeries(p, coeffs, bool(value.get("tail_exact", False)))
-
-
-def module_to_json(name: str, module: DifferentialModule,
-                   expected: dict | None = None) -> dict:
-    doc = {
-        "format": FORMAT,
-        "name": name,
-        "prime": module.p,
-        "rank": module.rank,
-        "matrix": [[_entry_to_json(c) for c in row]
-                   for row in module.matrix.entries],
-    }
-    if expected is not None:
-        doc["expected"] = expected
-    return doc
+        listed, tail_exact = value, True
+    else:
+        listed, tail_exact = value["coefficients"], bool(value.get("tail_exact", False))
+    if len(listed) > MAX_COEFFS:
+        raise ModfileError("%d coefficients exceed the bound %d"
+                           % (len(listed), MAX_COEFFS))
+    return TruncatedSeries(p, [_coeff_from_json(v, p) for v in listed], tail_exact)
 
 
 def module_from_json(doc: dict) -> tuple[str, DifferentialModule, dict]:
@@ -202,6 +201,8 @@ def module_from_json(doc: dict) -> tuple[str, DifferentialModule, dict]:
     if not _is_prime(p):
         raise ModfileError("prime field is %d, which is not prime" % p)
     rank = int(doc["rank"])
+    if not 1 <= rank <= MAX_RANK:
+        raise ModfileError("rank %d is outside 1..%d" % (rank, MAX_RANK))
     rows = doc["matrix"]
     if len(rows) != rank or any(len(r) != rank for r in rows):
         raise ModfileError("matrix shape disagrees with the declared rank")
@@ -211,7 +212,7 @@ def module_from_json(doc: dict) -> tuple[str, DifferentialModule, dict]:
         for j, cell in enumerate(row):
             try:
                 out.append(_entry_from_json(cell, p))
-            except ModfileError as exc:
+            except (ValueError, ZeroDivisionError) as exc:    # ModfileError too
                 raise ModfileError("entry (%d, %d): %s" % (i, j, exc)) from None
         entries.append(out)
     module = DifferentialModule(SeriesMatrix(p, entries), label=doc.get("name", ""))
@@ -235,7 +236,7 @@ def parse_module(path) -> ModuleDescription:
     try:
         with open(path) as fh:
             doc = json.load(fh)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:      # bad JSON, or an int past the digit limit
         raise ModfileError("%s: %s" % (path, exc)) from None
     try:
         name, module, expected = module_from_json(doc)
@@ -246,16 +247,7 @@ def parse_module(path) -> ModuleDescription:
         if key not in _ORDER_KEYS:
             raise ModfileError("%s: unknown order key %r" % (path, key))
         orders[key] = int(orders[key])
+        if not 1 <= orders[key] <= MAX_ORDER:
+            raise ModfileError("%s: order %s = %d is outside 1..%d"
+                               % (path, key, orders[key], MAX_ORDER))
     return ModuleDescription(name, module, expected, orders, str(path))
-
-
-def dump_module(path, name: str, module: DifferentialModule,
-                expected: dict | None = None) -> None:
-    with open(path, "w") as fh:
-        json.dump(module_to_json(name, module, expected), fh, indent=1, sort_keys=True)
-        fh.write("\n")
-
-
-def load_module(path) -> tuple[str, DifferentialModule, dict]:
-    with open(path) as fh:
-        return module_from_json(json.load(fh))

@@ -181,19 +181,6 @@ class PadicNumber:
             return _INF
         return self.v + self.N
 
-    @property
-    def valuation(self) -> int:
-        """Exact valuation of a determinate value.
-
-        For an inexact zero only a lower bound is known and this raises.
-        """
-        if self.is_exact_zero:
-            raise ValueError("exact zero has valuation +inf")
-        if self.u == 0:
-            raise PrecisionError("valuation indistinguishable from +inf "
-                                 "at absolute precision %d" % self.v)
-        return self.v
-
     def val_lower_bound(self):
         """A sound lower bound on the valuation (+inf for the exact zero)."""
         if self.is_exact_zero:
@@ -381,16 +368,3 @@ class PadicNumber:
 
 
 _ZERO = Fraction(0)
-
-
-def arith(x: PadicNumber, y: PadicNumber, op: str) -> PadicNumber:
-    """Dispatch add | sub | mul | div with the shared precision rules."""
-    if op == "add":
-        return x + y
-    if op == "sub":
-        return x - y
-    if op == "mul":
-        return x * y
-    if op == "div":
-        return x / y
-    raise ValueError("unknown op %r" % op)

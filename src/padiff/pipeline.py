@@ -17,7 +17,6 @@ omitted is computed on demand from the supplied configuration.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations

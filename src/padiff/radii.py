@@ -329,61 +329,31 @@ class RadiusWorkbench:
 
     def multiset(self, r) -> MultisetSample:
         r = Fraction(r)
-        m = self.module.rank
         cols = self.column_radii(r)
         f_cols = sorted((-(c.log_radius) for c in cols), reverse=True)
         ladder = self._ladder(r)
-        out: list[Fraction] = []
-        prov: list[str] = []
-        cert: list[bool] = []
+        # a radius never exceeds rho, so a trustworthy rung has f >= r;
+        # rungs below that are tensor-cancellation artifacts
+        out, prov = _reconcile(f_cols, ladder, r)
+        # a ladder value is never certified
+        cert = [src != "ladder" and cols[i].certified for i, src in enumerate(prov)]
         flags = set()
-        prev_f = None
-        for i in range(m):
-            f_col = f_cols[i]
-            f_lad = ladder[i] if ladder is not None else None
-            # a radius never exceeds rho, so a trustworthy rung has
-            # f >= r; rungs below that are tensor-cancellation artifacts
-            ladder_valid = (
-                f_lad is not None
-                and f_lad >= r - _LADDER_TOL
-                and (prev_f is None or f_lad <= prev_f + _LADDER_TOL)
-                and f_lad <= f_col + _LADDER_TOL
-            )
-            if ladder_valid and abs(f_lad - f_col) <= _LADDER_TOL:
-                out.append(f_col)
-                prov.append("agree")
-                cert.append(cols[i].certified)
-            elif ladder_valid:
-                out.append(max(f_lad, r))
-                prov.append("ladder")
-                cert.append(False)
-                flags.add("routes_disagree")
-            else:
-                out.append(f_col)
-                prov.append("columns")
-                cert.append(cols[i].certified)
-                if f_lad is not None:
-                    flags.add("ladder_invalid")
-            prev_f = out[-1]
+        if "ladder" in prov:
+            flags.add("routes_disagree")
+        if ladder is not None and "columns" in prov:
+            flags.add("ladder_invalid")
         return MultisetSample(r, tuple(-f for f in out), tuple(prov),
                               tuple(cert), tuple(sorted(flags)))
 
     def _ladder(self, r: Fraction) -> list[Fraction] | None:
         """Minus-log radii implied by the exterior power top radii."""
-        m = self.module.rank
         try:
-            ells = []
-            for k in range(1, m + 1):
-                sample = self.top_radius(r, wedge_degree=k)
-                ells.append(-(sample.log_radius + r))      # -log intrinsic
+            # minus-log intrinsic top radius of each exterior power
+            ells = [-(self.top_radius(r, wedge_degree=k).log_radius + r)
+                    for k in range(1, self.module.rank + 1)]
         except ValueError:
             return None
-        out = []
-        prev = Fraction(0)
-        for k in range(m):
-            out.append(ells[k] - prev + r)
-            prev = ells[k]
-        return out
+        return _telescope(ells, r)
 
     # -- boundary extrapolation ------------------------------------------------
 
@@ -413,42 +383,20 @@ class RadiusWorkbench:
         f_cols.sort(reverse=True)
 
         ladder, ladder_ok = self._boundary_ladder(grid, tol)
-
-        out, prov, res_ok = [], [], []
-        prev_f = None
-        for i in range(m):
-            f_col = f_cols[i]
-            f_lad = ladder[i] if ladder is not None else None
-            ladder_valid = (
-                f_lad is not None
-                and f_lad >= -_LADDER_TOL
-                and (prev_f is None or f_lad <= prev_f + _LADDER_TOL)
-                and f_lad <= f_col + _LADDER_TOL
-            )
-            if ladder_valid and abs(f_lad - f_col) <= _LADDER_TOL:
-                out.append(f_col)
-                prov.append("agree")
-                res_ok.append(col_ok[i] and ladder_ok)
-            elif ladder_valid:
-                out.append(max(f_lad, Fraction(0)))
-                prov.append("ladder")
-                res_ok.append(ladder_ok)
-            else:
-                out.append(f_col)
-                prov.append("columns")
-                res_ok.append(col_ok[i])
-            prev_f = out[-1]
+        out, prov = _reconcile(f_cols, ladder, Fraction(0))
+        # a position is as sound as the extrapolations it rests on
+        res_ok = [(src == "ladder" or col_ok[i]) and (src == "columns" or ladder_ok)
+                  for i, src in enumerate(prov)]
         return BoundaryReport(tuple(-f for f in out), tuple(prov),
                               tuple(res_ok), tuple(grid),
                               sum(1 for f in out if f == 0))
 
     def _boundary_ladder(self, grid, tol):
         """Extrapolated minus-log top radii of the exterior powers."""
-        m = self.module.rank
         ells = []
         all_ok = True
         try:
-            for k in range(1, m + 1):
+            for k in range(1, self.module.rank + 1):
                 values = [(g, self.top_radius(g, wedge_degree=k).log_radius)
                           for g in grid]
                 log_R, _, ok = _extrapolate(values, tol)
@@ -456,12 +404,7 @@ class RadiusWorkbench:
                 all_ok = all_ok and ok
         except ValueError:
             return None, False
-        out = []
-        prev = Fraction(0)
-        for k in range(m):
-            out.append(ells[k] - prev)
-            prev = ells[k]
-        return out, all_ok
+        return _telescope(ells, Fraction(0)), all_ok
 
     # -- growth of the radius filtration ----------------------------------------
 
@@ -477,47 +420,6 @@ class RadiusWorkbench:
             rows.append((r, tuple(partial)))
         return FProfile(tuple(rows), _convexity_ok(rows), _nondecreasing_ok(rows))
 
-    # -- independent top-radius route --------------------------------------------
-
-    def cyclic_top_radius(self, r) -> RadiusSample | None:
-        """Newton polygon of a cyclic vector's minimal operator.
-
-        Candidates are the shifted monomial vectors e_1 + t e_2 + ...,
-        which cover every bundled module; None means none was cyclic.
-        """
-        r = Fraction(r)
-        m = self.module.rank
-        p = self.p
-        for shape in range(m):
-            vec = [TruncatedSeries.monomial(p, i) if i <= shape
-                   else TruncatedSeries.zero(p) for i in range(m)]
-            powers = [vec]
-            for _ in range(m):
-                powers.append(self.module.apply_D(powers[-1]))
-            W = SeriesMatrix(p, [[powers[j][i] for j in range(m)] for i in range(m)])
-            den = W.det()
-            if den.is_zero_series():
-                continue
-            gden = den.gauss_norm(r).exponent
-            if gden is None:
-                continue
-            points = [(m, Fraction(0))]
-            for i in range(m):
-                Wi = SeriesMatrix(p, [[powers[m][a] if b == i else W.entries[a][b]
-                                       for b in range(m)] for a in range(m)])
-                num = Wi.det()
-                if num.is_zero_series():
-                    continue
-                gnum = num.gauss_norm(r).exponent
-                if gnum is None:
-                    continue
-                points.append((i, -(gnum - gden)))
-            slope = _newton_max_slope(points)
-            inner = omega_exponent(p) + r   # log of omega/rho, the derivation's own norm
-            worst = inner if slope is None else max(inner, slope)
-            return RadiusSample(r, omega_exponent(p) - worst, True, ("cyclic",))
-        return None
-
 
 def _keeps_spanning(cols: list[ColumnRadius], worst: int,
                     vec: list[TruncatedSeries], p: int) -> bool:
@@ -528,23 +430,48 @@ def _keeps_spanning(cols: list[ColumnRadius], worst: int,
     return Y.det().t_order_info()[0] is not None
 
 
-def _newton_max_slope(points: list[tuple[int, Fraction]]) -> Fraction | None:
-    """Max slope of the lower convex hull; None for a pure power of T."""
-    pts = sorted(points)
-    if len(pts) < 2:
-        return None
-    hull: list[tuple[int, Fraction]] = []
-    for pt in pts:
-        while len(hull) >= 2:
-            (x1, y1), (x2, y2) = hull[-2], hull[-1]
-            if (y2 - y1) * (pt[0] - x1) >= (pt[1] - y1) * (x2 - x1):
-                hull.pop()
-            else:
-                break
-        hull.append(pt)
-    slopes = [(hull[i + 1][1] - hull[i][1]) / (hull[i + 1][0] - hull[i][0])
-              for i in range(len(hull) - 1)]
-    return max(slopes) if slopes else None
+def _telescope(ells: list[Fraction], shift: Fraction) -> list[Fraction]:
+    """Per-position values from cumulative exterior-power reads:
+    position k is ells[k] - ells[k-1] + shift."""
+    out = []
+    prev = Fraction(0)
+    for ell in ells:
+        out.append(ell - prev + shift)
+        prev = ell
+    return out
+
+
+def _reconcile(f_cols: list[Fraction], ladder: list[Fraction] | None,
+               floor: Fraction) -> tuple[list[Fraction], list[str]]:
+    """Per-position minus-log radii and the route that supplied each.
+
+    f_cols are the sorted column bounds; a ladder rung is trusted only
+    while it stays at or above floor, monotone, and below the column
+    bound.  Trusted rungs that match the column are "agree", others
+    "ladder"; untrusted ones leave the column value, "columns".
+    """
+    out: list[Fraction] = []
+    prov: list[str] = []
+    prev_f = None
+    for i, f_col in enumerate(f_cols):
+        f_lad = ladder[i] if ladder is not None else None
+        ladder_valid = (
+            f_lad is not None
+            and f_lad >= floor - _LADDER_TOL
+            and (prev_f is None or f_lad <= prev_f + _LADDER_TOL)
+            and f_lad <= f_col + _LADDER_TOL
+        )
+        if ladder_valid and abs(f_lad - f_col) <= _LADDER_TOL:
+            out.append(f_col)
+            prov.append("agree")
+        elif ladder_valid:
+            out.append(max(f_lad, floor))
+            prov.append("ladder")
+        else:
+            out.append(f_col)
+            prov.append("columns")
+        prev_f = out[-1]
+    return out, prov
 
 
 def _extrapolate(values: list[tuple[Fraction, Fraction]], tol: Fraction):

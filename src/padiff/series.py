@@ -62,22 +62,6 @@ class FilVerdict:
     attained_at: int | None
 
 
-@dataclass(frozen=True)
-class AnnulusSpec:
-    """Closed annulus p**(-alpha) <= |t| <= p**(-beta), not the full disc."""
-
-    alpha: Fraction
-    beta: Fraction
-
-    def __post_init__(self):
-        if self.alpha < self.beta:
-            raise ValueError("inner radius exceeds outer radius")
-        if self.beta < 0:
-            raise ValueError("outer radius exponent must be >= 0")
-        if self.alpha == 0 and self.beta == 0:
-            raise ValueError("degenerate annulus at the boundary circle")
-
-
 class TruncatedSeries:
     __slots__ = ("p", "coeffs", "tail_exact")
 
@@ -130,11 +114,6 @@ class TruncatedSeries:
     @property
     def order(self) -> int:
         return len(self.coeffs) - 1
-
-    @property
-    def window(self) -> int | None:
-        """Largest trustworthy coefficient index; None means all of them."""
-        return None if self.tail_exact else self.order
 
     def coefficient(self, i: int) -> PadicNumber:
         if i < 0:
@@ -199,13 +178,6 @@ class TruncatedSeries:
             raise ValueError("cannot extend an inexact tail")
         zero = PadicNumber.exact_zero(self.p)
         return TruncatedSeries(self.p, self.coeffs + [zero] * (order - self.order), True)
-
-    def shift(self, k: int) -> "TruncatedSeries":
-        """Multiply by t**k."""
-        if k < 0:
-            raise ValueError("use divide for negative shifts")
-        zero = PadicNumber.exact_zero(self.p)
-        return TruncatedSeries(self.p, [zero] * k + self.coeffs, self.tail_exact)
 
     # ------------------------------------------------------------------
     # ring operations
@@ -440,38 +412,6 @@ class TruncatedSeries:
             return FilVerdict("holds", sup, attained)
         return FilVerdict("inconclusive", sup, attained)
 
-    def unit_check(self) -> tuple[bool, str]:
-        """Is this a unit of the bounded series ring, as far as visible?
-
-        The test is strict dominance of the constant term over every other
-        known coefficient; with an exact tail that is a proof.
-        """
-        c0 = self.coeffs[0]
-        if c0.is_exact_zero:
-            return False, "constant term is zero"
-        if c0.u == 0:
-            return False, "constant term indistinguishable from zero"
-        for i, c in enumerate(self.coeffs[1:], start=1):
-            if c.is_exact_zero:
-                continue
-            if c.u == 0:
-                if -c.v >= -c0.v:
-                    return False, "coefficient %d undetermined at competing size" % i
-                continue
-            if -c.v >= -c0.v:
-                return False, "coefficient %d is not dominated" % i
-        if self.tail_exact:
-            return True, "dominant constant term, exact tail"
-        return True, "dominant constant term on the window"
-
-    # ------------------------------------------------------------------
-
-    def to_json(self) -> dict:
-        return {
-            "coefficients": [c.to_json() for c in self.coeffs],
-            "tail_exact": self.tail_exact,
-        }
-
     def __eq__(self, other):
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
@@ -490,32 +430,3 @@ class TruncatedSeries:
         body = " + ".join(shown) if shown else "0"
         tail = "" if self.tail_exact else " + O(t^%d)" % (self.order + 1)
         return "<series %s%s>" % (body, tail)
-
-
-class TruncatedLaurent:
-    """A Laurent polynomial t**offset * (power series), for annulus norms."""
-
-    __slots__ = ("offset", "series")
-
-    def __init__(self, offset: int, series: TruncatedSeries):
-        self.offset = offset
-        self.series = series
-
-    def annulus_norm(self, spec: AnnulusSpec) -> Fraction | None:
-        """log_p of the sup norm over the annulus; None for the zero value.
-
-        Nonnegative powers of t peak on the outer circle, negative powers
-        on the inner one.
-        """
-        best = None
-        for j, c in enumerate(self.series.coeffs):
-            if c.is_exact_zero:
-                continue
-            if c.u == 0:
-                raise PrecisionError("annulus norm with undetermined coefficient")
-            i = self.offset + j
-            r = spec.beta if i >= 0 else spec.alpha
-            e = Fraction(-c.v) - r * i
-            if best is None or e > best:
-                best = e
-        return best

@@ -15,7 +15,9 @@ import pytest
 import padiff
 from padiff.cli import main
 from padiff.diffmod import H0Report, DifferentialModule
-from padiff.modfile import (ModfileError, _is_prime, module_from_json,
+from padiff import cli
+from padiff.modfile import (MAX_COEFFS, MAX_DEGREE, MAX_ORDER, MAX_RANK,
+                            ModfileError, _is_prime, module_from_json,
                             parse_module, parse_polynomial)
 
 DESCRIPTIONS = Path(padiff.__file__).parent / "descriptions"
@@ -130,6 +132,70 @@ def test_parse_module_reports_entry_position(tmp_path):
         "rank": 2, "matrix": [["0", "t^"], ["0", "0"]]}))
     with pytest.raises(ModfileError, match=r"entry \(0, 1\)"):
         parse_module(path)
+
+
+# size bounds: every value below is rejected before anything of its size
+# is allocated
+
+
+@pytest.mark.parametrize("text", ["t^10001", "3*t^" + "9" * 5000],
+                         ids=["degree-10001", "5000-digit-exponent"])
+def test_parse_polynomial_rejects_degree_past_the_bound(text):
+    with pytest.raises(ModfileError, match="degree bound"):
+        parse_polynomial(text, 5)
+
+
+def test_parse_polynomial_accepts_degree_at_the_bound():
+    assert parse_polynomial("t^%d" % MAX_DEGREE, 5).order == MAX_DEGREE
+
+
+@pytest.mark.parametrize("entry", [
+    ["0"] * (MAX_COEFFS + 1),
+    {"coefficients": ["0"] * (MAX_COEFFS + 1), "tail_exact": False},
+])
+def test_module_rejects_coefficient_count_past_the_bound(entry):
+    doc = _rank1_doc(5)
+    doc["matrix"] = [[entry]]
+    with pytest.raises(ModfileError, match="coefficients exceed"):
+        module_from_json(doc)
+
+
+@pytest.mark.parametrize("rank", [0, MAX_RANK + 1, 10 ** 12])
+def test_module_rejects_rank_outside_the_bound(rank):
+    doc = _rank1_doc(5)
+    doc["rank"] = rank
+    with pytest.raises(ModfileError, match="outside"):
+        module_from_json(doc)
+
+
+@pytest.mark.parametrize("entry", ["1" * 5000 + "*t", [], ["x"], ["1/0"]],
+                         ids=["5000-digit-literal", "empty-list", "bad-rational",
+                              "zero-denominator"])
+def test_module_reports_malformed_entries_as_modfile_errors(entry):
+    # a 5000-digit literal is past int()'s digit limit, an empty list has
+    # no constant term: each is a ModfileError (exit 3), not a traceback
+    doc = _rank1_doc(5)
+    doc["matrix"] = [[entry]]
+    with pytest.raises(ModfileError, match=r"entry \(0, 0\)"):
+        module_from_json(doc)
+
+
+def test_parse_module_rejects_integers_past_the_digit_limit(tmp_path):
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(_rank1_doc(5)).replace('"prime": 5', '"prime": 5' + "0" * 5000))
+    with pytest.raises(ModfileError):
+        parse_module(path)
+    assert run("h0", str(path)) == 3
+
+
+@pytest.mark.parametrize("orders", [{"solve": 10 ** 12}, {"iterates": 0},
+                                    {"growth": MAX_ORDER + 1}])
+def test_parse_module_rejects_orders_outside_the_bound(tmp_path, orders):
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(dict(_rank1_doc(5), orders=orders)))
+    with pytest.raises(ModfileError, match="outside"):
+        parse_module(path)
+    assert run("h0", str(path)) == 3
 
 
 # ----------------------------------------------------------------------
@@ -282,3 +348,43 @@ def test_cli_corpus_parallel(capsys):
                "--iterates", "60", "--jobs", "2")
     assert code == 0
     assert "2 pass" in capsys.readouterr().out
+
+
+def test_cli_corpus_skip_rejects_unknown_names(capsys):
+    assert run("corpus", "--skip", "trivial1_p5,nope") == 3
+    assert "nope" in capsys.readouterr().err
+
+
+class _RecordingPool:
+    """Stands in for ProcessPoolExecutor; runs jobs in-process."""
+
+    created: list = []
+
+    def __init__(self, max_workers):
+        self.created.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return [fn(x) for x in items]
+
+
+@pytest.mark.parametrize("only,cpus,workers", [
+    ("trivial1_p5,trivial2_p5,trivial3_p5", 8, [3]),   # capped by modules
+    ("trivial1_p5,trivial2_p5,trivial3_p5", 2, [2]),   # capped by CPUs
+    ("trivial1_p5", 8, []),                            # one module: no pool
+])
+def test_cli_corpus_caps_the_worker_pool(monkeypatch, tmp_path, only, cpus, workers):
+    monkeypatch.setattr(_RecordingPool, "created", [])
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+    monkeypatch.setattr(cli, "_corpus_job", lambda payload: {
+        "module": payload[0], "verdict": "PASS", "checks": {}, "report": {}})
+    out = tmp_path / "corpus.json"
+    assert run("corpus", "--only", only, "--jobs", "64", "--out", str(out)) == 0
+    assert _RecordingPool.created == workers
+    assert json.loads(out.read_text())["config"]["jobs"] == 64

@@ -5,13 +5,10 @@ import pytest
 from padiff.linalg import (
     NoSolutionError,
     SeriesMatrix,
-    field_det,
-    field_inverse,
     field_kernel,
     field_solve,
     kernel_basis,
     smith_normal_form,
-    solve_linear,
 )
 from padiff.padic import PadicNumber, PrecisionError
 from padiff.series import TruncatedSeries
@@ -57,20 +54,6 @@ def test_field_kernel():
 def test_field_kernel_trivial():
     A = [[num(1), num(0)], [num(0), num(1)]]
     assert field_kernel(A, 5) == []
-
-
-def test_field_inverse_and_det():
-    A = [[num(2), num(1)], [num(5), num(3)]]
-    inv = field_inverse(A, 5)
-    # A * inv == I
-    for i in range(2):
-        for j in range(2):
-            acc = PadicNumber.exact_zero(5)
-            for k in range(2):
-                acc = acc + A[i][k] * inv[k][j]
-            assert acc.exact == (1 if i == j else 0)
-    assert field_det(A, 5).exact == 1
-    assert field_det([[num(1), num(2)], [num(2), num(4)]], 5).is_exact_zero
 
 
 def test_field_rank_ambiguity_raises():
@@ -187,34 +170,6 @@ def test_kernel_basis_normalized_leading_one():
         k = min(orders)
         lead = [c for c in vec if c.t_order_info()[0] == k][0]
         assert lead.coeffs[k].exact == 1
-
-
-def test_solve_linear_series():
-    # [[1, t], [0, 1]] x = (1 + t**2, t)  ->  x = (1, t)
-    A = M([[[1], [0, 1]], [[0], [1]]])
-    b = [TruncatedSeries.from_rationals(5, [1, 0, 1]), TruncatedSeries.monomial(5, 1)]
-    x = solve_linear(A, b, working_order=8)
-    assert x[0].coeffs[0].exact == 1
-    assert all(c.is_zero_series() for c in [x[0].truncate(0)]) or True
-    recon = A.matvec(x)
-    for got, want in zip(recon, b):
-        assert got.agrees(want.truncate(got.order) if not got.tail_exact else want)
-
-
-def test_solve_linear_divisibility_obstruction():
-    # t x = 1 has no power series solution
-    A = M([[[0, 1]]])
-    b = [TruncatedSeries.one(5)]
-    with pytest.raises(NoSolutionError) as err:
-        solve_linear(A, b, working_order=8)
-    assert err.value.certificate is not None
-
-
-def test_solve_linear_overdetermined_inconsistent():
-    A = M([[[1]], [[0, 1]]])                      # x = b0, t x = b1
-    b = [TruncatedSeries.one(5), TruncatedSeries.one(5)]
-    with pytest.raises(NoSolutionError):
-        solve_linear(A, b, working_order=8)
 
 
 def test_snf_uncertified_on_fuzzy_block():

@@ -1,8 +1,8 @@
 """Oracle tests for the convergence radius estimators.
 
 Expected values were computed by hand: the Taylor iterates of the rank
-two modules, the Newton polygons of their cyclic operators, and the
-capped radii of the rank one modules all have closed forms.
+two modules and the capped radii of the rank one modules have closed
+forms.
 """
 
 from fractions import Fraction
@@ -16,7 +16,6 @@ from padiff.radii import (
     PowerIterates,
     RadiusWorkbench,
     _extrapolate,
-    _newton_max_slope,
     omega_exponent,
 )
 from padiff.series import TruncatedSeries
@@ -215,57 +214,6 @@ def test_boundary_hypergeom_short_tail():
 
 
 # ----------------------------------------------------------------------
-# cyclic vector cross-check
-
-
-def test_cyclic_ex44(ex44_wb):
-    sample = ex44_wb.cyclic_top_radius(F(0))
-    assert sample is not None
-    assert sample.log_radius == F(-1, 4)
-
-
-def test_cyclic_matches_iterates_where_tails_are_exact():
-    for name in ("exp_unit_p5", "exp_small_p5", "trivial2_p5"):
-        wb = RadiusWorkbench(build(name).module, CFG)
-        for r in (F(1, 8), F(1, 4)):
-            cyc = wb.cyclic_top_radius(r)
-            assert cyc is not None
-            assert cyc.log_radius == wb.top_radius(r).log_radius
-
-
-def test_cyclic_reads_below_iterate_estimates():
-    # polygon reads never exceed the tail estimates: tails overshoot the
-    # true radius while the polygon undershoots it for solvable modules
-    names = ("ex44_p5", "dual_ex44_p5", "trivial2_p5", "exp_unit_p5",
-             "exp_small_p5", "sum_exp_cancel_p5", "hypergeom_half_p5",
-             "rank3_n2_p5")
-    for name in names:
-        wb = RadiusWorkbench(build(name).module, CFG)
-        for r in (F(1, 8), F(1, 4)):
-            cyc = wb.cyclic_top_radius(r)
-            assert cyc is not None
-            assert cyc.log_radius <= wb.top_radius(r).log_radius
-
-
-def test_cyclic_blind_to_frobenius_solvability():
-    # the polygon sees a unit root norm and reports the exponential
-    # bound; the true top radius of this module caps the whole disc.
-    # Pinned so the limitation stays visible rather than silent.
-    wb = RadiusWorkbench(build("hypergeom_half_p5").module, CFG)
-    cyc = wb.cyclic_top_radius(F(1, 8))
-    assert cyc is not None
-    assert cyc.log_radius == F(-1, 4)
-    assert wb.top_radius(F(1, 8)).log_radius == F(-1, 8)
-
-
-def test_cyclic_trivial_needs_shifted_candidate():
-    wb = RadiusWorkbench(build("trivial2_p5").module, CFG)
-    sample = wb.cyclic_top_radius(F(1, 8))
-    assert sample is not None
-    assert sample.log_radius == F(-1, 8)
-
-
-# ----------------------------------------------------------------------
 # profile of the radius filtration
 
 
@@ -290,13 +238,6 @@ def test_f_profile_ex44(ex44_wb):
 
 # ----------------------------------------------------------------------
 # small numeric helpers
-
-
-def test_newton_max_slope_oracles():
-    assert _newton_max_slope([(0, F(0)), (1, F(0)), (2, F(0))]) == 0
-    assert _newton_max_slope([(0, F(1)), (1, F(0))]) == -1
-    assert _newton_max_slope([(2, F(0))]) is None
-    assert _newton_max_slope([(0, F(2)), (1, F(0)), (2, F(0))]) == 0
 
 
 def test_extrapolate_exact_line():

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from padiff.padic import PadicNumber, PrecisionError
-from padiff.series import AnnulusSpec, TruncatedLaurent, TruncatedSeries
+from padiff.series import TruncatedSeries
 
 
 def S(p, values, tail_exact=True):
@@ -179,17 +179,6 @@ def test_fil_membership():
     assert z2.fil_membership(delta=0.0, bound=0.0).verdict == "holds"
 
 
-def test_unit_check():
-    ok, _ = S(5, [1, 5, 25]).unit_check()
-    assert ok
-    bad, why = S(5, [1, 1]).unit_check()
-    assert not bad and "not dominated" in why
-    ok2, why2 = S(5, [1, 5, 5], tail_exact=False).unit_check()
-    assert ok2 and "window" in why2
-    ok3, _ = S(5, [0, 1]).unit_check()
-    assert not ok3
-
-
 def test_agrees():
     x = S(5, [1, 2, 3], tail_exact=False)
     y = S(5, [1, 2, 3, 4], tail_exact=False)
@@ -203,31 +192,10 @@ def test_agrees():
     assert not a.agrees(c)
 
 
-def test_shift_and_truncate():
+def test_truncate_and_pad():
     x = S(5, [1, 2])
-    y = x.shift(2)
-    assert [getattr(c, "exact", None) for c in y.coeffs] == [0, 0, 1, 2]
-    assert y.tail_exact
+    y = S(5, [0, 0, 1, 2])
     t = y.truncate(1)
     assert t.order == 1 and not t.tail_exact
     padded = x.pad_to(4)
     assert padded.order == 4 and padded.coeffs[4].is_exact_zero
-
-
-def test_annulus_spec_validation():
-    with pytest.raises(ValueError):
-        AnnulusSpec(Fraction(0), Fraction(0))
-    with pytest.raises(ValueError):
-        AnnulusSpec(Fraction(1), Fraction(2))
-    AnnulusSpec(Fraction(2), Fraction(1))
-
-
-def test_laurent_annulus_norm():
-    # t**-1 + 5*t on  5**-1 <= |t| <= 1: the pole term wins on the inner circle
-    inner = TruncatedSeries.from_rationals(5, [1, 0, 5])
-    lau = TruncatedLaurent(-1, inner)
-    spec = AnnulusSpec(Fraction(1), Fraction(0))
-    assert lau.annulus_norm(spec) == 1
-    # same element on the single circle |t| = 5**(-1/2)
-    narrow = AnnulusSpec(Fraction(1, 2), Fraction(1, 2))
-    assert lau.annulus_norm(narrow) == Fraction(1, 2)

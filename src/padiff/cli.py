@@ -22,17 +22,18 @@ import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import replace
+from dataclasses import asdict
 from datetime import datetime, timezone
 from fractions import Fraction
 
 from padiff import corpus
 from padiff.config import WorkbenchConfig
-from padiff.modfile import ModfileError, _entry_to_json, parse_module
+from padiff.modfile import MAX_ORDER, ModfileError, _entry_to_json, parse_module
 from padiff.pipeline import (
     FAIL,
     INCONCLUSIVE,
     PASS,
+    TRANSFER_TOLERANCE,
     WitnessError,
     construct_submodule,
     growth_order,
@@ -115,9 +116,11 @@ def _parse_rho_grid(text: str) -> tuple[int, ...]:
     out = []
     for tok in text.split(","):
         tok = tok.strip()
-        if not tok.isdigit() or int(tok) < 1:
-            raise UsageError("--rho-grid wants positive integers k "
-                             "(sample radii p^(-1/k)), got %r" % tok)
+        # the digit count first, so int() never sees an over-long token
+        if (not tok.isdigit() or len(tok) > len(str(MAX_ORDER))
+                or not 1 <= int(tok) <= MAX_ORDER):
+            raise UsageError("--rho-grid wants integers k in 1..%d "
+                             "(sample radii p^(-1/k)), got %r" % (MAX_ORDER, tok))
         out.append(int(tok))
     if not out:
         raise UsageError("--rho-grid is empty")
@@ -142,34 +145,23 @@ def _parse_rho(tok: str) -> Fraction:
 
 
 def _config(args, orders: dict | None = None) -> WorkbenchConfig:
+    """Flags first, then a description file's orders, then the defaults."""
     orders = orders or {}
-    cfg = WorkbenchConfig()
-    order = args.order if args.order is not None else orders.get("solve")
-    iterates = (args.iterates if args.iterates is not None
-                else orders.get("iterates"))
-    cfg = cfg.scaled(order=order, iterates=iterates)
-    if args.rho_grid:
-        grid = _parse_rho_grid(args.rho_grid)
-        cfg = replace(cfg, radii=replace(cfg.radii, rho_denominators=grid))
-    if args.tolerance_growth is not None:
-        cfg = replace(cfg, verify=replace(cfg.verify,
-                                          growth_tolerance=args.tolerance_growth))
-    if args.jobs is not None:
-        if args.jobs < 1:
-            raise UsageError("--jobs must be at least 1")
-        cfg = replace(cfg, jobs=args.jobs)
-    return cfg
+    given = {
+        "order": args.order if args.order is not None else orders.get("solve"),
+        "iterates": args.iterates if args.iterates is not None else orders.get("iterates"),
+        "rho_denominators": _parse_rho_grid(args.rho_grid) if args.rho_grid else None,
+        "growth_tolerance": args.tolerance_growth,
+        "jobs": args.jobs,
+    }
+    if args.jobs is not None and args.jobs < 1:
+        raise UsageError("--jobs must be at least 1")
+    return WorkbenchConfig(**{k: v for k, v in given.items() if v is not None})
 
 
 def _config_echo(cfg: WorkbenchConfig) -> dict:
-    return {
-        "order": cfg.solve.order,
-        "iterates": cfg.radii.iterates,
-        "rho_denominators": list(cfg.radii.rho_denominators),
-        "growth_tolerance": _dec(cfg.verify.growth_tolerance),
-        "transfer_tolerance": _dec(cfg.verify.transfer_tolerance),
-        "jobs": cfg.jobs,
-    }
+    return dict(asdict(cfg), growth_tolerance=_dec(cfg.growth_tolerance),
+                transfer_tolerance=_dec(TRANSFER_TOLERANCE))
 
 
 # ----------------------------------------------------------------------
@@ -275,7 +267,7 @@ def _digest_conjecture(rep) -> dict:
         "boundary": _digest_boundary(rep.boundary),
         "window": {"order": rep.order, "iterates": rep.iterates},
         "tolerances": {"growth": _dec(rep.growth_tolerance),
-                       "transfer": _dec(rep.transfer_tolerance)},
+                       "transfer": _dec(TRANSFER_TOLERANCE)},
     }
     if rep.witness is not None:
         doc["witness"] = _digest_witness(rep.witness)
@@ -298,9 +290,9 @@ def cmd_solve(args) -> int:
     started = time.monotonic()
     name, module, _, orders = _load(args.module)
     cfg = _config(args, orders)
-    h0 = module.h0_basis(cfg.solve)
+    h0 = module.h0_basis(cfg.order)
     print("%s: rank %d over Q_%d, order %d"
-          % (name, module.rank, module.p, cfg.solve.order))
+          % (name, module.rank, module.p, cfg.order))
     for i, rep in enumerate(h0.sections):
         line = "  section %d: %s" % (i, rep.verdict)
         if rep.verdict == "convergent":
@@ -330,7 +322,7 @@ def cmd_h0(args) -> int:
     started = time.monotonic()
     name, module, _, orders = _load(args.module)
     cfg = _config(args, orders)
-    h0 = module.h0_basis(cfg.solve)
+    h0 = module.h0_basis(cfg.order)
     verdicts = ", ".join(r.verdict for r in h0.sections)
     print("%s: h0 = %d of %d (%s)%s"
           % (name, h0.dim, module.rank, verdicts,
@@ -352,13 +344,13 @@ def cmd_growth(args) -> int:
     started = time.monotonic()
     name, module, _, orders = _load(args.module)
     cfg = _config(args, orders)
-    h0 = module.h0_basis(cfg.solve)
+    h0 = module.h0_basis(cfg.order)
     rows = []
     indeterminate = h0.inconclusive
     print("%s: log-growth of the %d bounded sections" % (name, h0.dim))
     for i, sec in enumerate(h0.basis):
         order = orders.get("growth")
-        got = growth_order(sec, order=order, tail_start=cfg.solve.tail_start)
+        got = growth_order(sec, order=order)
         indeterminate = indeterminate or got.indeterminate
         print("  section %d: delta_hat %s on window %s%s"
               % (i, _dec(got.value), got.window,
@@ -383,9 +375,10 @@ def cmd_growth(args) -> int:
 
 def cmd_radii(args) -> int:
     started = time.monotonic()
+    rho = None if args.rho is None else _parse_rho(args.rho)
     name, module, _, orders = _load(args.module)
     cfg = _config(args, orders)
-    wb = RadiusWorkbench(module, cfg.radii)
+    wb = RadiusWorkbench(module, cfg)
     boundary = wb.boundary_multiset()
     print("%s: boundary log_p radii %s"
           % (name, ", ".join(str(v) for v in boundary.log_radii)))
@@ -393,7 +386,7 @@ def cmd_radii(args) -> int:
           % (", ".join(boundary.provenance),
              all(boundary.residual_ok), boundary.solvable_rank))
     grid_rows = []
-    for k in cfg.radii.rho_denominators:
+    for k in cfg.rho_denominators:
         r = Fraction(1, k)
         ms = wb.multiset(r)
         print("  r=%s: %s" % (r, ", ".join(str(v) for v in ms.log_radii)))
@@ -407,12 +400,11 @@ def cmd_radii(args) -> int:
         "boundary": _digest_boundary(boundary),
         "grid": grid_rows,
     }
-    if args.rho is not None:
-        r = _parse_rho(args.rho)
-        ms = wb.multiset(r)
-        rho = "1" if r == 0 else "p^-%s" % r
+    if rho is not None:
+        ms = wb.multiset(rho)
         print("  sample at rho=%s: %s"
-              % (rho, ", ".join("p^(%s)" % v for v in ms.log_radii)))
+              % ("1" if rho == 0 else "p^-%s" % rho,
+                 ", ".join("p^(%s)" % v for v in ms.log_radii)))
         doc["sample"] = _digest_multiset(ms)
     _emit(args, doc, started)
     return 0
@@ -468,8 +460,8 @@ def cmd_fprofile(args) -> int:
     started = time.monotonic()
     name, module, _, orders = _load(args.module)
     cfg = _config(args, orders)
-    wb = RadiusWorkbench(module, cfg.radii)
-    rs = sorted({Fraction(0), *(Fraction(1, k) for k in cfg.radii.rho_denominators)})
+    wb = RadiusWorkbench(module, cfg)
+    rs = sorted({Fraction(0), *(Fraction(1, k) for k in cfg.rho_denominators)})
     prof = wb.f_profile(rs)
     print("%s: partial-sum profile on %d radii (convex: %s)"
           % (name, len(prof.rows), prof.convex))

@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
-from padiff.config import SolveConfig
 from padiff.linalg import SeriesMatrix, field_kernel
 from padiff.padic import PadicNumber, PrecisionError
 from padiff.series import TruncatedSeries
@@ -26,6 +25,17 @@ from padiff.series import TruncatedSeries
 CONVERGENT = "convergent"
 DIVERGENT = "divergent"
 INCONCLUSIVE = "inconclusive"
+
+# growth statistics use coefficients in [TAIL_START * order, order]
+TAIL_START = 0.25
+# stability is judged against the late window [LATE_START * order, order]
+LATE_START = 0.75
+# a section counts as convergent when its growth rate sits below
+# EPS_CONVERGENT - EPS_MARGIN, divergent above EPS_CONVERGENT + EPS_MARGIN
+EPS_CONVERGENT = 1e-2
+EPS_MARGIN = 5e-3
+# an echelonization step must drop the growth rate by at least this
+ECHELON_MARGIN = 0.05
 
 
 @dataclass
@@ -175,10 +185,8 @@ class DifferentialModule:
     # ------------------------------------------------------------------
     # H^0 and growth classification
 
-    def h0_basis(self, cfg: SolveConfig | None = None) -> H0Report:
-        cfg = cfg or SolveConfig()
+    def h0_basis(self, order: int) -> H0Report:
         p = self.p
-        order = cfg.order
         w = self.matrix.max_known_order()
         if w is not None:
             order = min(order, w + 1)
@@ -187,31 +195,31 @@ class DifferentialModule:
         starts = [[one if i == j else zero for i in range(self.rank)]
                   for j in range(self.rank)]
         sections = [self.solve_horizontal(s, order) for s in starts]
-        reports = [self._classify(s, sec, order, cfg)
+        reports = [self._classify(s, sec, order)
                    for s, sec in zip(starts, sections)]
-        reports, steps = self._echelonize(reports, order, cfg)
+        reports, steps = self._echelonize(reports, order)
         dim = sum(1 for r in reports if r.verdict == CONVERGENT)
         inconclusive = any(r.verdict == INCONCLUSIVE for r in reports)
         return H0Report(reports, dim, inconclusive, steps)
 
-    def _classify(self, start, section, order: int, cfg: SolveConfig) -> SectionReport:
-        lo = max(int(cfg.tail_start * order), 1)
-        late = max(int(cfg.late_start * order), 1)
+    def _classify(self, start, section, order: int) -> SectionReport:
+        lo = max(int(TAIL_START * order), 1)
+        late = max(int(LATE_START * order), 1)
         lam, lam_late = _vector_growth(section, lo, order), _vector_growth(section, late, order)
-        verdict = _verdict(lam, cfg)
-        if verdict != INCONCLUSIVE and _verdict(lam_late, cfg) != verdict:
+        verdict = _verdict(lam)
+        if verdict != INCONCLUSIVE and _verdict(lam_late) != verdict:
             verdict = INCONCLUSIVE
         delta = max((s.growth_profile(lo, order).delta_hat for s in section),
                     default=0.0)
         return SectionReport(start, section, lam, lam_late, verdict, delta)
 
-    def _echelonize(self, reports: list[SectionReport], order: int,
-                    cfg: SolveConfig) -> tuple[list[SectionReport], int]:
+    def _echelonize(self, reports: list[SectionReport],
+                    order: int) -> tuple[list[SectionReport], int]:
         """Cancel shared divergence between sections by constant combos.
 
         Kernel vectors of the dominant tail coefficients propose combos;
         a combo is accepted only when a full reclassification shows the
-        growth rate dropped by the configured margin.
+        growth rate dropped by ECHELON_MARGIN.
         """
         steps = 0
         for _ in range(self.rank):
@@ -224,9 +232,9 @@ class DifferentialModule:
             coeffs, target = combo
             section = _combine([r.section for r in bad], coeffs, self.p)
             start = _combine_starts([r.start for r in bad], coeffs, self.p)
-            report = self._classify(start, section, order, cfg)
+            report = self._classify(start, section, order)
             worst = max(float(r.lam or 0) for r in bad)
-            if float(report.lam or 0) > worst - cfg.echelon_margin:
+            if float(report.lam or 0) > worst - ECHELON_MARGIN:
                 break
             reports = [report if r is target else r for r in reports]
             steps += 1
@@ -285,11 +293,11 @@ def _vector_growth(section, lo: int, hi: int) -> Fraction | None:
     return lam
 
 
-def _verdict(lam: Fraction | None, cfg: SolveConfig) -> str:
+def _verdict(lam: Fraction | None) -> str:
     val = float(lam) if lam is not None else 0.0
-    if val < cfg.eps_convergent - cfg.eps_margin:
+    if val < EPS_CONVERGENT - EPS_MARGIN:
         return CONVERGENT
-    if val > cfg.eps_convergent + cfg.eps_margin:
+    if val > EPS_CONVERGENT + EPS_MARGIN:
         return DIVERGENT
     return INCONCLUSIVE
 

@@ -186,37 +186,55 @@ def _entry_from_json(value, p: int) -> TruncatedSeries:
         return parse_polynomial(value, p)
     if isinstance(value, list):
         listed, tail_exact = value, True
-    else:
+    elif isinstance(value, dict) and isinstance(value.get("coefficients"), list):
         listed, tail_exact = value["coefficients"], bool(value.get("tail_exact", False))
+    else:
+        raise ModfileError("an entry is a polynomial string, a coefficient "
+                           "list or an object with a 'coefficients' list")
     if len(listed) > MAX_COEFFS:
         raise ModfileError("%d coefficients exceed the bound %d"
                            % (len(listed), MAX_COEFFS))
     return TruncatedSeries(p, [_coeff_from_json(v, p) for v in listed], tail_exact)
 
 
+def _int_field(doc: dict, key: str) -> int:
+    value = doc.get(key)
+    if type(value) is not int:      # so neither a bool nor a string
+        raise ModfileError("%r is missing or not a JSON integer" % key)
+    return value
+
+
 def module_from_json(doc: dict) -> tuple[str, DifferentialModule, dict]:
+    if not isinstance(doc, dict):
+        raise ModfileError("not a module file (a JSON %s, not an object)"
+                           % type(doc).__name__)
     if doc.get("format") != FORMAT:
         raise ModfileError("not a module file (format %r)" % doc.get("format"))
-    p = int(doc["prime"])
+    p = _int_field(doc, "prime")
     if not _is_prime(p):
         raise ModfileError("prime field is %d, which is not prime" % p)
-    rank = int(doc["rank"])
+    rank = _int_field(doc, "rank")
     if not 1 <= rank <= MAX_RANK:
         raise ModfileError("rank %d is outside 1..%d" % (rank, MAX_RANK))
-    rows = doc["matrix"]
-    if len(rows) != rank or any(len(r) != rank for r in rows):
-        raise ModfileError("matrix shape disagrees with the declared rank")
+    rows = doc.get("matrix")
+    if (not isinstance(rows, list) or len(rows) != rank
+            or any(not isinstance(r, list) or len(r) != rank for r in rows)):
+        raise ModfileError("matrix missing, or its shape disagrees with the "
+                           "declared rank")
     entries = []
     for i, row in enumerate(rows):
         out = []
         for j, cell in enumerate(row):
             try:
                 out.append(_entry_from_json(cell, p))
-            except (ValueError, ZeroDivisionError) as exc:    # ModfileError too
+            except (ValueError, ZeroDivisionError, KeyError, TypeError) as exc:
                 raise ModfileError("entry (%d, %d): %s" % (i, j, exc)) from None
         entries.append(out)
+    expected = doc.get("expected", {})
+    if not isinstance(expected, dict):
+        raise ModfileError("'expected' must be an object")
     module = DifferentialModule(SeriesMatrix(p, entries), label=doc.get("name", ""))
-    return doc.get("name", ""), module, dict(doc.get("expected", {}))
+    return doc.get("name", ""), module, dict(expected)
 
 
 @dataclass(frozen=True)
@@ -240,14 +258,15 @@ def parse_module(path) -> ModuleDescription:
         raise ModfileError("%s: %s" % (path, exc)) from None
     try:
         name, module, expected = module_from_json(doc)
+        orders = doc.get("orders", {})
+        if not isinstance(orders, dict):
+            raise ModfileError("'orders' must be an object")
+        for key in orders:
+            if key not in _ORDER_KEYS:
+                raise ModfileError("unknown order key %r" % key)
+            if not 1 <= _int_field(orders, key) <= MAX_ORDER:
+                raise ModfileError("order %s = %d is outside 1..%d"
+                                   % (key, orders[key], MAX_ORDER))
     except ModfileError as exc:
         raise ModfileError("%s: %s" % (path, exc)) from None
-    orders = dict(doc.get("orders", {}))
-    for key in orders:
-        if key not in _ORDER_KEYS:
-            raise ModfileError("%s: unknown order key %r" % (path, key))
-        orders[key] = int(orders[key])
-        if not 1 <= orders[key] <= MAX_ORDER:
-            raise ModfileError("%s: order %s = %d is outside 1..%d"
-                               % (path, key, orders[key], MAX_ORDER))
-    return ModuleDescription(name, module, expected, orders, str(path))
+    return ModuleDescription(name, module, expected, dict(orders), str(path))

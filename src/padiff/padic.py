@@ -297,9 +297,9 @@ class PadicNumber:
         if self.u == 0 or other.u == 0:
             # |x*y| <= p**-(bound_x + bound_y)
             return PadicNumber.inexact_zero(p, self.v + other.v)
-        N = self._result_rel_prec(other)
+        N, a, b = self._units(other)
         pN = p ** N
-        return PadicNumber(p, self.v + other.v, self.u * other.u % pN, N, None)
+        return PadicNumber(p, self.v + other.v, a * b % pN, N, None)
 
     def __truediv__(self, other):
         p = self._same_prime(other)
@@ -315,18 +315,25 @@ class PadicNumber:
                                            min(self.N, other.N), self.v - other.v)
         if self.u == 0:
             return PadicNumber.inexact_zero(p, self.v - other.v)
-        N = self._result_rel_prec(other)
+        N, a, b = self._units(other)
         pN = p ** N
-        u = self.u * pow(other.u, -1, pN) % pN
+        u = a * pow(b, -1, pN) % pN
         return PadicNumber(p, self.v - other.v, u, N, None)
 
-    def _result_rel_prec(self, other) -> int:
-        # an exact operand does not cap the partner's relative precision
+    def _units(self, other) -> tuple[int, int, int]:
+        # (N, unit, unit) of a product or quotient: an exact operand does not
+        # cap the partner's relative precision N, so its unit is expanded to
+        # N digits from the rational when it stores fewer
         if self.exact is not None:
-            return other.N
+            return other.N, self._unit_to(other.N), other.u
         if other.exact is not None:
-            return self.N
-        return min(self.N, other.N)
+            return self.N, self.u, other._unit_to(self.N)
+        return min(self.N, other.N), self.u, other.u
+
+    def _unit_to(self, N: int) -> int:
+        if self.N >= N:
+            return self.u
+        return PadicNumber._from_exact(self.exact, self.p, N, self.v).u
 
     def _same_prime(self, other) -> int:
         if not isinstance(other, PadicNumber):

@@ -22,7 +22,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from padiff.config import WorkbenchConfig
-from padiff.diffmod import DifferentialModule, H0Report
+from padiff.diffmod import EPS_CONVERGENT, TAIL_START, DifferentialModule, H0Report
 from padiff.linalg import (
     NoSolutionError,
     SeriesMatrix,
@@ -38,6 +38,9 @@ PASS = "PASS"
 FAIL = "FAIL"
 INCONCLUSIVE = "INCONCLUSIVE"
 NOT_APPLICABLE = "NOT_APPLICABLE"
+
+# slack allowed when comparing measured radii across discs
+TRANSFER_TOLERANCE = 0.05
 
 
 class WitnessError(RuntimeError):
@@ -61,12 +64,11 @@ class GrowthOrder:
     window: tuple[int, int]
 
 
-def growth_order(section, order: int | None = None,
-                 tail_start: float = 0.25) -> GrowthOrder:
+def growth_order(section, order: int | None = None) -> GrowthOrder:
     """Componentwise max of the log-growth estimates of the coordinates."""
     if order is None:
         order = min(s.order for s in section)
-    lo = max(int(tail_start * order), 1)
+    lo = max(int(TAIL_START * order), 1)
     value = 0.0
     attained = None
     indeterminate = False
@@ -103,12 +105,11 @@ def transfer_check(module: DifferentialModule, cfg: WorkbenchConfig | None = Non
                    h0: H0Report | None = None,
                    boundary: BoundaryReport | None = None) -> TransferCheck:
     cfg = cfg or WorkbenchConfig()
-    h0 = h0 or module.h0_basis(cfg.solve)
-    boundary = boundary or RadiusWorkbench(module, cfg.radii).boundary_multiset()
-    tol = cfg.verify.transfer_tolerance
+    h0 = h0 or module.h0_basis(cfg.order)
+    boundary = boundary or RadiusWorkbench(module, cfg).boundary_multiset()
     top = boundary.log_radii[0]
-    unit = abs(float(top)) <= tol
-    return TransferCheck(top, h0.dim, module.rank, tol,
+    unit = abs(float(top)) <= TRANSFER_TOLERANCE
+    return TransferCheck(top, h0.dim, module.rank, TRANSFER_TOLERANCE,
                          unit == (h0.dim == module.rank))
 
 
@@ -139,15 +140,15 @@ def verify_dwork_bound(module: DifferentialModule,
     report then records NOT_APPLICABLE rather than a verdict.
     """
     cfg = cfg or WorkbenchConfig()
-    h0 = h0 or module.h0_basis(cfg.solve)
+    h0 = h0 or module.h0_basis(cfg.order)
     m = module.rank
-    tol = cfg.verify.growth_tolerance
+    tol = cfg.growth_tolerance
     reports = h0.basis_reports()
     deltas = tuple(r.delta_hat for r in reports)
     if h0.dim < m:
         return DworkReport(module.label, m, h0.dim, False, deltas,
                            m - 1 + tol, False, NOT_APPLICABLE,
-                           cfg.solve.order, tol)
+                           cfg.order, tol)
     fil_stable = all(
         coord.fil_membership(m - 1, float("inf")).verdict == "holds"
         for r in reports for coord in r.section)
@@ -158,7 +159,7 @@ def verify_dwork_bound(module: DifferentialModule,
     else:
         verdict = PASS
     return DworkReport(module.label, m, h0.dim, True, deltas,
-                       m - 1 + tol, fil_stable, verdict, cfg.solve.order, tol)
+                       m - 1 + tol, fil_stable, verdict, cfg.order, tol)
 
 
 # ----------------------------------------------------------------------
@@ -303,7 +304,7 @@ def construct_submodule(module: DifferentialModule,
     solved for and checked to converge on the unit disc.
     """
     cfg = cfg or WorkbenchConfig()
-    h0 = h0 or module.h0_basis(cfg.solve)
+    h0 = h0 or module.h0_basis(cfg.order)
     if h0.inconclusive:
         raise WitnessError("horizontal section count is inconclusive",
                            inconclusive=True)
@@ -320,7 +321,7 @@ def construct_submodule(module: DifferentialModule,
     frame = _section_frame(p, sections)
     if n == m:
         wo = frame.max_known_order()
-        order = cfg.solve.order if wo is None else min(cfg.solve.order, wo)
+        order = cfg.order if wo is None else min(cfg.order, wo)
         theta = invert_regular(frame, order)
         resid = (frame @ theta) - SeriesMatrix.identity(p, m)
         diagram_ok = all(_zeroish(resid.entries[i][j])
@@ -334,9 +335,9 @@ def construct_submodule(module: DifferentialModule,
         return SubmoduleWitness(module, SeriesMatrix.identity(p, m),
                                 theta, e, diag)
 
-    boundary = boundary or RadiusWorkbench(module, cfg.radii).boundary_multiset()
+    boundary = boundary or RadiusWorkbench(module, cfg).boundary_multiset()
     hyp = boundary.log_radii[m - n - 1]
-    hyp_ok = float(hyp) < -cfg.verify.transfer_tolerance
+    hyp_ok = float(hyp) < -TRANSFER_TOLERANCE
     if not hyp_ok:
         raise WitnessError(
             "subsidiary radius %d sits at the unit circle (log %s); the "
@@ -356,7 +357,7 @@ def construct_submodule(module: DifferentialModule,
 
     orders = [w for w in (frame.max_known_order(), phi.max_known_order())
               if w is not None]
-    order = min([cfg.solve.order] + orders)
+    order = min([cfg.order] + orders)
     submodule, d_stable = _induced_connection(module, phi, order)
 
     try:
@@ -367,10 +368,10 @@ def construct_submodule(module: DifferentialModule,
     diagram_ok = all(_zeroish(resid.entries[i][j])
                      for i in range(m) for j in range(n))
     t_growth = _theta_growth(theta)
-    if t_growth > cfg.solve.eps_convergent:
+    if t_growth > EPS_CONVERGENT:
         raise WitnessError("frame change diverges: growth %.4f" % t_growth)
 
-    sub_h0 = submodule.h0_basis(cfg.solve)
+    sub_h0 = submodule.h0_basis(cfg.order)
     if sub_h0.dim != n:
         raise WitnessError(
             "submodule carries %d bounded sections, expected %d"
@@ -381,11 +382,11 @@ def construct_submodule(module: DifferentialModule,
     return SubmoduleWitness(submodule, phi, theta, e, diag)
 
 
-def _theta_growth(theta: SeriesMatrix, tail_start: float = 0.25) -> float:
+def _theta_growth(theta: SeriesMatrix) -> float:
     worst = 0.0
     for row in theta.entries:
         for entry in row:
-            lo = max(int(tail_start * entry.order), 1)
+            lo = max(int(TAIL_START * entry.order), 1)
             lam = entry.growth_profile(lo, entry.order).lam
             if lam is not None:
                 worst = max(worst, float(lam))
@@ -416,7 +417,6 @@ class ConjectureReport:
     order: int
     iterates: int
     growth_tolerance: float
-    transfer_tolerance: float
 
 
 def verify_conjecture(module: DifferentialModule,
@@ -431,11 +431,11 @@ def verify_conjecture(module: DifferentialModule,
     as independently checkable evidence.
     """
     cfg = cfg or WorkbenchConfig()
-    h0 = h0 or module.h0_basis(cfg.solve)
-    boundary = boundary or RadiusWorkbench(module, cfg.radii).boundary_multiset()
+    h0 = h0 or module.h0_basis(cfg.order)
+    boundary = boundary or RadiusWorkbench(module, cfg).boundary_multiset()
     m = module.rank
     n = h0.dim
-    tol = cfg.verify.growth_tolerance
+    tol = cfg.growth_tolerance
     deltas = tuple(r.delta_hat for r in h0.basis_reports())
 
     vacuous = n == 0
@@ -453,7 +453,7 @@ def verify_conjecture(module: DifferentialModule,
         route = "solvable"
     else:
         hyp = boundary.log_radii[m - n - 1]
-        hyp_ok = float(hyp) < -cfg.verify.transfer_tolerance
+        hyp_ok = float(hyp) < -TRANSFER_TOLERANCE
         route = "corank-one-automatic" if n == m - 1 else "measured"
 
     try:
@@ -470,5 +470,4 @@ def verify_conjecture(module: DifferentialModule,
     return ConjectureReport(
         module.label, m, n, deltas, bound, verdict, vacuous,
         hyp, hyp_ok, route, status, witness, dwork, transfer, boundary,
-        cfg.solve.order, cfg.radii.iterates,
-        tol, cfg.verify.transfer_tolerance)
+        cfg.order, cfg.iterates, tol)

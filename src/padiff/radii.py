@@ -30,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from padiff.config import RadiiConfig
+from padiff.config import WorkbenchConfig
 from padiff.diffmod import DifferentialModule
 from padiff.linalg import SeriesMatrix, kernel_basis
 from padiff.padic import PrecisionError
@@ -41,6 +41,10 @@ _MIN_ITERATE_WINDOW = 32
 _KERNEL_STACK_DEPTH = 3
 _KERNEL_WORKING_ORDER = 16
 _LADDER_TOL = Fraction(1, 1000)
+# the spectral estimate reads iterates s in [_TAIL_FRAC * T, T]
+_TAIL_FRAC = 0.5
+# max residual (in log_p units) for accepting the affine boundary fit
+_FIT_RESIDUAL_TOL = Fraction(1, 1000)
 
 
 def omega_exponent(p: int) -> Fraction:
@@ -93,22 +97,18 @@ class FProfile:
 class PowerIterates:
     """Taylor iterates of the horizontal frame of one module."""
 
-    def __init__(self, module: DifferentialModule, count: int,
-                 window: int | None = None):
+    def __init__(self, module: DifferentialModule, count: int):
         self.module = module
         self.count = count
         p = module.p
         A = module.matrix
         mat_window = A.max_known_order()
+        window = None
         if mat_window is not None:
-            available = mat_window - count
-            window = available if window is None else min(window, available)
-            window = min(window, _AUTO_ITERATE_WINDOW)
+            window = min(mat_window - count, _AUTO_ITERATE_WINDOW)
             if window < _MIN_ITERATE_WINDOW:
                 raise ValueError(
                     "matrix window %d cannot support %d iterates" % (mat_window, count))
-        else:
-            window = None
         self.window = window
         mats = [SeriesMatrix.identity(p, module.rank)]
         cur = mats[0]
@@ -122,11 +122,11 @@ class PowerIterates:
         self.mats = mats
         self._column_betas: dict = {}
 
-    def tail_range(self, tail_frac: float) -> range:
-        lo = max(int(self.count * tail_frac), 1)
+    def tail_range(self) -> range:
+        lo = max(int(self.count * _TAIL_FRAC), 1)
         return range(lo, self.count + 1)
 
-    def matrix_beta(self, r: Fraction, tail_frac: float):
+    def matrix_beta(self, r: Fraction):
         """max over the tail of |M_s|_rho ** (1/s), as a log_p Fraction.
 
         A max over tail iterates and entries is the max of the column
@@ -135,22 +135,22 @@ class PowerIterates:
         best = None
         flags = set()
         for j in range(self.module.rank):
-            val, _, fl = self.column_beta(r, tail_frac, j)
+            val, _, fl = self.column_beta(r, j)
             flags.update(fl)
             if val is not None and (best is None or val > best):
                 best = val
         return best, tuple(sorted(flags))
 
-    def column_beta(self, r: Fraction, tail_frac: float, j: int):
+    def column_beta(self, r: Fraction, j: int):
         """(beta, zero_certified, flags) of column j; read once per radius."""
-        key = (r, tail_frac, j)
+        key = (r, j)
         cached = self._column_betas.get(key)
         if cached is not None:
             return cached
         best = None
         flags = set()
         zero_certified = True
-        for s in self.tail_range(tail_frac):
+        for s in self.tail_range():
             col = self.mats[s].column(j)
             g, fl = _vector_norm(col, r)
             flags.update(fl)
@@ -266,9 +266,9 @@ def _is_clean(flags) -> bool:
 class RadiusWorkbench:
     """Radius analysis of one module; iterates are shared across radii."""
 
-    def __init__(self, module: DifferentialModule, cfg: RadiiConfig | None = None):
+    def __init__(self, module: DifferentialModule, cfg: WorkbenchConfig | None = None):
         self.module = module
-        self.cfg = cfg or RadiiConfig()
+        self.cfg = cfg or WorkbenchConfig()
         self.p = module.p
         self._power_iterates: dict[int, PowerIterates] = {}
         self._columns_cache: dict[Fraction, list[ColumnRadius]] = {}
@@ -277,14 +277,14 @@ class RadiusWorkbench:
         it = self._power_iterates.get(wedge_degree)
         if it is None:
             mod = self.module if wedge_degree == 1 else self.module.wedge(wedge_degree)
-            it = PowerIterates(mod, self.cfg.iterates, self.cfg.iterate_window)
+            it = PowerIterates(mod, self.cfg.iterates)
             self._power_iterates[wedge_degree] = it
         return it
 
     def top_radius(self, r, wedge_degree: int = 1) -> RadiusSample:
         r = Fraction(r)
         it = self.iterates(wedge_degree)
-        beta, flags = it.matrix_beta(r, self.cfg.tail_frac)
+        beta, flags = it.matrix_beta(r)
         log_R = _capped_radius(self.p, r, beta)
         return RadiusSample(r, log_R, _is_clean(flags), flags)
 
@@ -300,7 +300,7 @@ class RadiusWorkbench:
         p = self.p
         cols: list[ColumnRadius] = []
         for j in range(m):
-            beta, zero_cert, flags = it.column_beta(r, self.cfg.tail_frac, j)
+            beta, zero_cert, flags = it.column_beta(r, j)
             basis_col = [TruncatedSeries.one(p) if i == j else TruncatedSeries.zero(p)
                          for i in range(m)]
             certified = zero_cert or _is_clean(flags)
@@ -369,7 +369,6 @@ class RadiusWorkbench:
         """
         grid = sorted(Fraction(1, k) for k in self.cfg.rho_denominators)
         m = self.module.rank
-        tol = Fraction(self.cfg.fit_residual_tol).limit_denominator(10 ** 9)
 
         col_samples = {g: self.column_radii(g) for g in grid}
         f_cols: list[Fraction] = []
@@ -377,12 +376,12 @@ class RadiusWorkbench:
         for i in range(m):
             values = [(g, sorted(c.log_radius for c in col_samples[g])[i])
                       for g in grid]
-            log_R, _, ok = _extrapolate(values, tol)
+            log_R, _, ok = _extrapolate(values)
             f_cols.append(-min(log_R, Fraction(0)))
             col_ok.append(ok)
         f_cols.sort(reverse=True)
 
-        ladder, ladder_ok = self._boundary_ladder(grid, tol)
+        ladder, ladder_ok = self._boundary_ladder(grid)
         out, prov = _reconcile(f_cols, ladder, Fraction(0))
         # a position is as sound as the extrapolations it rests on
         res_ok = [(src == "ladder" or col_ok[i]) and (src == "columns" or ladder_ok)
@@ -391,7 +390,7 @@ class RadiusWorkbench:
                               tuple(res_ok), tuple(grid),
                               sum(1 for f in out if f == 0))
 
-    def _boundary_ladder(self, grid, tol):
+    def _boundary_ladder(self, grid):
         """Extrapolated minus-log top radii of the exterior powers."""
         ells = []
         all_ok = True
@@ -399,7 +398,7 @@ class RadiusWorkbench:
             for k in range(1, self.module.rank + 1):
                 values = [(g, self.top_radius(g, wedge_degree=k).log_radius)
                           for g in grid]
-                log_R, _, ok = _extrapolate(values, tol)
+                log_R, _, ok = _extrapolate(values)
                 ells.append(-min(log_R, Fraction(0)))
                 all_ok = all_ok and ok
         except ValueError:
@@ -474,7 +473,7 @@ def _reconcile(f_cols: list[Fraction], ladder: list[Fraction] | None,
     return out, prov
 
 
-def _extrapolate(values: list[tuple[Fraction, Fraction]], tol: Fraction):
+def _extrapolate(values: list[tuple[Fraction, Fraction]]):
     """Affine extrapolation to r = 0 through the two smallest-r points.
 
     The third point checks the fit; on failure the window shifts away
@@ -489,7 +488,7 @@ def _extrapolate(values: list[tuple[Fraction, Fraction]], tol: Fraction):
         intercept = v1 - slope * r1
         if lead + 2 < len(values):
             r3, v3 = values[lead + 2]
-            if abs(intercept + slope * r3 - v3) > tol:
+            if abs(intercept + slope * r3 - v3) > _FIT_RESIDUAL_TOL:
                 continue
             return intercept, ((r1, v1), (r2, v2)), True
         return intercept, ((r1, v1), (r2, v2)), False

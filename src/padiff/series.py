@@ -99,10 +99,6 @@ class TruncatedSeries:
         return cls(p, [PadicNumber.from_int(1, p)], True)
 
     @classmethod
-    def constant(cls, value: PadicNumber) -> "TruncatedSeries":
-        return cls(value.p, [value], True)
-
-    @classmethod
     def monomial(cls, p: int, k: int, coeff: int = 1) -> "TruncatedSeries":
         coeffs = [PadicNumber.exact_zero(p) for _ in range(k + 1)]
         coeffs[k] = PadicNumber.from_int(coeff, p)
@@ -261,30 +257,10 @@ class TruncatedSeries:
 
     def invert(self, order: int | None = None) -> "TruncatedSeries":
         """Multiplicative inverse; the constant term must be determinate."""
-        c0 = self.coeffs[0]
-        if c0.is_exact_zero:
+        if self.coeffs[0].is_exact_zero:
             raise ZeroDivisionError("inverting a series divisible by t")
-        if c0.u == 0:
-            raise PrecisionError("constant term indistinguishable from zero")
-        if order is None:
-            order = self.order
-        if not self.tail_exact and order > self.order:
-            raise ValueError("requested order exceeds the known window")
-        if self.tail_exact and all(c.is_exact_zero for c in self.coeffs[1:]):
-            inv = PadicNumber.from_int(1, self.p) / c0
-            return TruncatedSeries.constant(inv).pad_to(order)
-        one = PadicNumber.from_int(1, self.p)
-        inv0 = one / c0
-        out = [inv0]
-        for n in range(1, order + 1):
-            acc = PadicNumber.exact_zero(self.p)
-            for k in range(1, min(n, self.order) + 1):
-                a = self.coeffs[k]
-                if a.is_exact_zero:
-                    continue
-                acc = acc + a * out[n - k]
-            out.append(-(inv0 * acc))
-        return TruncatedSeries(self.p, out, False)
+        return TruncatedSeries.one(self.p).divide(
+            self, self.order if order is None else order)
 
     def divide(self, other: "TruncatedSeries", order: int | None = None) -> "TruncatedSeries":
         """Quotient in the power series ring.
@@ -383,16 +359,14 @@ class TruncatedSeries:
                 delta_at = i
         return GrowthProfile(lam, delta, lam_at, delta_at, indeterminate)
 
-    def fil_membership(self, delta: float, bound: float, hi: int | None = None,
-                       stable_frac: float = 0.75) -> FilVerdict:
+    def fil_membership(self, delta: float, bound: float) -> FilVerdict:
         """Is sup_i (|a_i| / (i+1)**delta) <= p**bound, judged on the window?
 
         "fails" is definitive; "holds" additionally requires the sup to be
-        attained early enough that the tail cannot plausibly flip it.
+        attained in the first three quarters of the window, so that the
+        tail cannot plausibly flip it.
         """
-        if hi is None:
-            hi = self.order
-        hi = min(hi, self.order)
+        hi = self.order
         lnp = math.log(self.p)
         sup = float("-inf")
         attained = None
@@ -408,7 +382,7 @@ class TruncatedSeries:
             return FilVerdict("holds", float("-inf"), None)
         if sup > bound * lnp + 1e-9:
             return FilVerdict("fails", sup, attained)
-        if self.tail_exact or attained <= stable_frac * hi:
+        if self.tail_exact or attained <= 0.75 * hi:
             return FilVerdict("holds", sup, attained)
         return FilVerdict("inconclusive", sup, attained)
 

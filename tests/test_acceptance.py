@@ -14,7 +14,7 @@ import pytest
 
 import test_properties
 from padiff import corpus
-from padiff.config import RadiiConfig, SolveConfig, WorkbenchConfig
+from padiff.config import WorkbenchConfig
 from padiff.diffmod import DifferentialModule
 from padiff.linalg import SeriesMatrix
 from padiff.padic import PadicNumber, factorial_valuation
@@ -22,8 +22,8 @@ from padiff.pipeline import construct_submodule, growth_order, verify_conjecture
 from padiff.radii import RadiusWorkbench, omega_exponent
 from padiff.series import TruncatedSeries
 
-CFG_SWEEP = WorkbenchConfig().scaled(order=260, iterates=80)
-CFG_DIFF = WorkbenchConfig().scaled(order=160, iterates=48)
+CFG_SWEEP = WorkbenchConfig(order=260, iterates=80)
+CFG_DIFF = WorkbenchConfig(order=160, iterates=48)
 WINDOW = 10 ** 4
 
 
@@ -57,12 +57,12 @@ def sweep():
 
 def test_criterion_1_worked_example_reproduction():
     cfg = WorkbenchConfig()
-    assert cfg.solve.order == 400
+    assert cfg.order == 400
     worst = 0.0
     for p in (3, 5, 7):
         mod = corpus.build("ex44_p%d" % p).module
         t0 = time.perf_counter()
-        h0 = mod.h0_basis(cfg.solve)
+        h0 = mod.h0_basis(cfg.order)
         witness = construct_submodule(mod, cfg, h0=h0)
         elapsed = time.perf_counter() - t0
         worst = max(worst, elapsed)
@@ -92,7 +92,7 @@ def test_criterion_2_dual_vanishing_stable():
     mod = corpus.build("dual_ex44_p5").module
     dims = {}
     for order in (200, 400):
-        h0 = mod.h0_basis(SolveConfig(order=order))
+        h0 = mod.h0_basis(order)
         assert not h0.inconclusive
         dims[order] = h0.dim
     assert dims == {200: 0, 400: 0}
@@ -107,7 +107,7 @@ def test_criterion_3_radius_calibration():
     grid = (F(0), F(1, 32), F(1, 16), F(1, 8), F(1, 4), F(1, 2))
     for rank in (1, 2, 3):
         mod = DifferentialModule(SeriesMatrix.zero(5, rank, rank))
-        wb = RadiusWorkbench(mod, RadiiConfig(iterates=200))
+        wb = RadiusWorkbench(mod, WorkbenchConfig(iterates=200))
         for r in grid:
             ms = wb.multiset(r)
             assert ms.log_radii == (-r,) * rank
@@ -117,14 +117,14 @@ def test_criterion_3_radius_calibration():
     units = [(p, 1) for p in (3, 5, 7)] + [(5, 2), (7, 3)]
     for p, c in units:
         mod = DifferentialModule(SeriesMatrix.from_rational_rows(p, [[[c]]]))
-        wb = RadiusWorkbench(mod, RadiiConfig(iterates=200))
+        wb = RadiusWorkbench(mod, WorkbenchConfig(iterates=200))
         err = abs(float(wb.top_radius(F(0)).log_radius - omega_exponent(p)))
         worst = max(worst, err)
         assert err < tol, "[%d] at p=%d off by %g" % (c, p, err)
 
     for p in (3, 5, 7):
         mod = corpus.build("ex44_p%d" % p).module
-        boundary = RadiusWorkbench(mod, RadiiConfig(iterates=200))
+        boundary = RadiusWorkbench(mod, WorkbenchConfig(iterates=200))
         got = boundary.boundary_multiset().log_radii
         want = (omega_exponent(p), F(0))
         assert len(got) == 2
@@ -159,7 +159,7 @@ def test_criterion_5_growth_bounds(sweep):
     for name, rep in sweep.items():
         assert rep.verdict == "PASS", name
         if rep.h0_dim >= 1:
-            assert rep.bound == rep.h0_dim - 1 + CFG_SWEEP.verify.growth_tolerance
+            assert rep.bound == rep.h0_dim - 1 + CFG_SWEEP.growth_tolerance
             assert all(d <= rep.bound for d in rep.delta_hats), name
         else:
             assert rep.vacuous
@@ -251,8 +251,8 @@ def test_criterion_8_precision_doubling_differential():
     for name in corpus.names():
         low = corpus.build(name).module
         high = corpus.build(name, precision=96).module
-        h0_low = low.h0_basis(CFG_DIFF.solve)
-        h0_high = high.h0_basis(CFG_DIFF.solve)
+        h0_low = low.h0_basis(CFG_DIFF.order)
+        h0_high = high.h0_basis(CFG_DIFF.order)
         assert h0_low.dim == h0_high.dim, name
         for sec_l, sec_h in zip(h0_low.basis, h0_high.basis):
             for cl, ch in zip(sec_l, sec_h):

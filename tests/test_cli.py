@@ -7,6 +7,7 @@ code contract holds on both the happy and the failing paths.
 """
 
 import json
+from dataclasses import fields
 from fractions import Fraction
 from pathlib import Path
 
@@ -16,6 +17,7 @@ import padiff
 from padiff.cli import main
 from padiff.diffmod import H0Report, DifferentialModule
 from padiff import cli
+from padiff.config import WorkbenchConfig
 from padiff.modfile import (MAX_COEFFS, MAX_DEGREE, MAX_ORDER, MAX_RANK,
                             ModfileError, _is_prime, module_from_json,
                             parse_module, parse_polynomial)
@@ -198,6 +200,27 @@ def test_parse_module_rejects_orders_outside_the_bound(tmp_path, orders):
     assert run("h0", str(path)) == 3
 
 
+def _without(key) -> dict:
+    return {k: v for k, v in _rank1_doc(5).items() if k != key}
+
+
+@pytest.mark.parametrize("doc", [
+    [1], _without("prime"), _without("rank"), _without("matrix"),
+    dict(_rank1_doc(5), prime="x"), dict(_rank1_doc(5), rank="x"),
+    dict(_rank1_doc(5), rank=1.5), dict(_rank1_doc(5), matrix=5),
+    dict(_rank1_doc(5), matrix=[[5]]), dict(_rank1_doc(5), orders=5),
+    dict(_rank1_doc(5), orders={"solve": "40"}), dict(_rank1_doc(5), expected=5),
+], ids=["top-level-list", "no-prime", "no-rank", "no-matrix", "prime-string",
+        "rank-string", "rank-float", "matrix-number", "entry-number",
+        "orders-number", "orders-string", "expected-number"])
+def test_cli_malformed_documents_exit_3(tmp_path, capsys, doc):
+    # a malformed document is a ModfileError (exit 3), not a traceback
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    assert run("h0", str(path)) == 3
+    assert "error: %s" % path in capsys.readouterr().err
+
+
 # ----------------------------------------------------------------------
 # exit codes
 
@@ -228,6 +251,33 @@ def test_cli_malformed_file_exits_3(tmp_path, capsys):
         "rank": 1, "matrix": [["t^"]]}))
     assert run("h0", str(path)) == 3
     assert "expected an exponent" in capsys.readouterr().err
+
+
+def test_cli_radii_bad_rho_exits_3_before_any_read(capsys):
+    assert run("radii", "ex44_p5", "--iterates", "2",
+               "--rho", "p^-" + "1" * 5000) == 3
+    assert "r=" not in capsys.readouterr().out
+
+
+def test_cli_radii_rejects_over_long_rho_grid_token(capsys):
+    # past int()'s digit limit: a usage error, not a ValueError traceback
+    assert run("radii", "ex44_p5", "--iterates", "2", "--rho-grid", "1" * 5000) == 3
+    out, err = capsys.readouterr()
+    assert "r=" not in out and "--rho-grid" in err
+
+
+def test_every_config_field_is_set_by_a_flag():
+    # a WorkbenchConfig field that no flag reaches fails here; no solve runs
+    args = cli._build_parser().parse_args([
+        "corpus", "--order", "7", "--iterates", "9", "--rho-grid", "3,5",
+        "--tolerance-growth", "0.5", "--jobs", "3"])
+    cfg = cli._config(args)
+    for f in fields(WorkbenchConfig):
+        assert getattr(cfg, f.name) != f.default, f.name
+        assert f.name in cli._config_echo(cfg)
+    # a description file's orders stand in for the absent flags
+    bare = cli._build_parser().parse_args(["corpus"])
+    assert cli._config(bare, {"solve": 7, "iterates": 9}) == WorkbenchConfig(order=7, iterates=9)
 
 
 def test_cli_solve_inconclusive_exits_2(monkeypatch):

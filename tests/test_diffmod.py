@@ -1,7 +1,6 @@
 from fractions import Fraction
 
 from padiff import corpus
-from padiff.config import SolveConfig
 from padiff.diffmod import CONVERGENT, DIVERGENT, DifferentialModule
 from padiff.linalg import SeriesMatrix
 from padiff.padic import PadicNumber
@@ -45,7 +44,7 @@ def test_solve_horizontal_polynomial_section():
 
 def test_h0_ex44():
     mod = corpus.ex44(5).module
-    rep = mod.h0_basis(SolveConfig(order=200))
+    rep = mod.h0_basis(200)
     assert rep.dim == 1
     assert not rep.inconclusive
     verdicts = sorted(s.verdict for s in rep.sections)
@@ -56,16 +55,16 @@ def test_h0_ex44():
 
 def test_h0_trivial_rank3():
     mod = corpus.trivial(5, 3).module
-    rep = mod.h0_basis(SolveConfig(order=60))
+    rep = mod.h0_basis(60)
     assert rep.dim == 3
     assert all(s.verdict == CONVERGENT for s in rep.sections)
     assert all(s.delta_hat == 0.0 for s in rep.sections)
 
 
 def test_h0_exp_modules():
-    assert corpus.exp_unit(5).module.h0_basis(SolveConfig(order=200)).dim == 0
-    assert corpus.exp_small(5).module.h0_basis(SolveConfig(order=200)).dim == 1
-    assert corpus.sum_exp_cancel(5).module.h0_basis(SolveConfig(order=200)).dim == 0
+    assert corpus.exp_unit(5).module.h0_basis(200).dim == 0
+    assert corpus.exp_small(5).module.h0_basis(200).dim == 1
+    assert corpus.sum_exp_cancel(5).module.h0_basis(200).dim == 0
 
 
 def test_h0_needs_echelonization_after_gauge():
@@ -75,7 +74,7 @@ def test_h0_needs_echelonization_after_gauge():
     g = SeriesMatrix.from_rational_rows(5, [[[1], [1]], [[1], [0]]])
     ginv = SeriesMatrix.from_rational_rows(5, [[[0], [1]], [[1], [-1]]])
     moved = DifferentialModule((ginv @ (A @ g)).truncate(240))
-    rep = moved.h0_basis(SolveConfig(order=240))
+    rep = moved.h0_basis(240)
     assert rep.echelon_steps >= 1
     assert rep.dim == 1
     assert not rep.inconclusive
@@ -136,13 +135,13 @@ def test_direct_sum_blocks():
     assert mod.matrix.entry(0, 1).coeffs[0].exact == -1
     assert mod.matrix.entry(2, 2).is_zero_series()
     assert mod.matrix.entry(0, 2).is_zero_series()
-    rep = mod.h0_basis(SolveConfig(order=200))
+    rep = mod.h0_basis(200)
     assert rep.dim == 2
 
 
 def test_h0_hypergeom_sections_are_integral():
     entry = corpus.hypergeom_half(5, window=160)
-    rep = entry.module.h0_basis(SolveConfig(order=150))
+    rep = entry.module.h0_basis(150)
     assert rep.dim == 2
     for sec in rep.basis_reports():
         assert sec.delta_hat == 0.0
@@ -154,7 +153,7 @@ def test_h0_hypergeom_sections_are_integral():
 
 def test_hypergeom_section_matches_coefficient_recurrence():
     entry = corpus.hypergeom_half(5, window=120)
-    rep = entry.module.h0_basis(SolveConfig(order=100))
+    rep = entry.module.h0_basis(100)
     direct = corpus.hypergeom_series_capped(5, 100)
     oracle = TruncatedSeries(5, direct)
     sections = [r.section for r in rep.basis_reports()]

@@ -8,6 +8,7 @@ zero branch.  Growth reads are pinned on series whose coefficient
 valuations are known exactly.
 """
 
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -33,7 +34,7 @@ from padiff.radii import BoundaryReport
 from padiff.series import TruncatedSeries
 
 
-CFG = WorkbenchConfig().scaled(iterates=120)
+CFG = WorkbenchConfig(iterates=120)
 
 
 def F(a, b=1):
@@ -53,7 +54,7 @@ def ex44_conjecture():
 @pytest.fixture(scope="module")
 def hyp_h0():
     module = build("hypergeom_half_p5").module
-    return module, module.h0_basis(CFG.solve)
+    return module, module.h0_basis(CFG.order)
 
 
 # ----------------------------------------------------------------------
@@ -209,7 +210,7 @@ def test_construct_trivial2_full_branch():
 
 
 def test_construct_exp_small_full_branch():
-    w = construct_submodule(build("exp_small_p5").module, CFG.scaled(order=120))
+    w = construct_submodule(build("exp_small_p5").module, replace(CFG, order=120))
     d = w.diagnostics
     assert d.branch == "full"
     assert w.rank == 1

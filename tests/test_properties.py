@@ -13,7 +13,7 @@ from itertools import combinations
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from padiff.config import RadiiConfig
+from padiff.config import WorkbenchConfig
 from padiff.diffmod import DifferentialModule
 from padiff.linalg import SeriesMatrix, invert_regular, kernel_basis, smith_normal_form
 from padiff.padic import PadicNumber
@@ -168,7 +168,7 @@ def test_wedge_of_horizontal_sections_horizontal(mod):
 # radius multisets
 
 
-RCFG = RadiiConfig(iterates=12)
+RCFG = WorkbenchConfig(iterates=12)
 log_rhos = st.sampled_from((Fraction(0), Fraction(1, 8), Fraction(1, 4),
                             Fraction(1, 2)))
 
@@ -199,7 +199,7 @@ def test_multiset_ordered_and_direct_sum_union(p, c1, c2, cancel, r):
 def test_unit_cancellation_pair_hits_omega():
     for p in (3, 5, 7):
         total = rank1(p, Fraction(1)).direct_sum(rank1(p, Fraction(-1)))
-        ms = RadiusWorkbench(total, RadiiConfig(iterates=60)).multiset(Fraction(0))
+        ms = RadiusWorkbench(total, WorkbenchConfig(iterates=60)).multiset(Fraction(0))
         w = omega_exponent(p)
         assert ms.log_radii == (w, w)
 
@@ -393,3 +393,19 @@ def test_exact_values_carry_a_unit_digit(p, spec_x, spec_y, op):
         if c.exact is not None and c.exact != 0:
             assert c.N >= 1 and c.u % c.p != 0
         assert c.is_exact_zero == (c.exact is not None and c.exact == 0)
+
+
+@given(PRIMES, nonzero_rationals, st.sampled_from((1, 2, 5, 48)),
+       st.integers(-3, 3), st.integers(1, 10 ** 40), st.integers(1, 60))
+@SUITE
+def test_exact_times_capped_claims_only_true_digits(p, a, n_exact, v, u, n_capped):
+    # the exact operand stores only n_exact digits, but a product or
+    # quotient claims the capped partner's relative precision; each claimed
+    # digit must agree with the exact value of a and of y's known digits
+    x = PadicNumber.from_rational(a.numerator, a.denominator, p, n_exact)
+    y = PadicNumber.approximate(p, v, u, n_capped)
+    assume(y.u)
+    b = y.u * Fraction(p) ** y.v
+    for got, want in ((x * y, a * b), (y * x, a * b), (x / y, a / b), (y / x, b / a)):
+        assert got.N == y.N
+        assert got.agrees(padic(want, p)), (got, want)

@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import pytest
 
-from padiff.config import RadiiConfig
+from padiff.config import WorkbenchConfig
 from padiff.corpus import build
 from padiff.linalg import SeriesMatrix
 from padiff.radii import (
@@ -21,7 +21,7 @@ from padiff.radii import (
 from padiff.series import TruncatedSeries
 
 
-CFG = RadiiConfig(iterates=120)
+CFG = WorkbenchConfig(iterates=120)
 
 
 def F(a, b=1):
@@ -79,11 +79,11 @@ def test_tail_entries_read_once_per_radius(monkeypatch):
     monkeypatch.setattr(TruncatedSeries, "gauss_norm",
                         lambda self, r: reads.append(r) or real(self, r))
     for r in (F(1, 4), F(1, 8)):
-        top, _ = it.matrix_beta(r, 0.5)
-        cols = [it.column_beta(r, 0.5, j)[0] for j in range(2)]
+        top, _ = it.matrix_beta(r)
+        cols = [it.column_beta(r, j)[0] for j in range(2)]
         assert top == max(cols)
-        it.matrix_beta(r, 0.5)
-    assert len(reads) == 2 * len(it.tail_range(0.5)) * 4
+        it.matrix_beta(r)
+    assert len(reads) == 2 * len(it.tail_range()) * 4
 
 
 # ----------------------------------------------------------------------
@@ -206,7 +206,7 @@ def test_boundary_rank3():
 def test_boundary_hypergeom_short_tail():
     # iterate count low enough that the innermost grid circle misses the
     # factorial decay; the shifted fit window has to absorb that point
-    wb = RadiusWorkbench(build("hypergeom_half_p5").module, RadiiConfig(iterates=80))
+    wb = RadiusWorkbench(build("hypergeom_half_p5").module, WorkbenchConfig(iterates=80))
     report = wb.boundary_multiset()
     assert report.log_radii == (F(0), F(0))
     assert report.solvable_rank == 2
@@ -242,7 +242,7 @@ def test_f_profile_ex44(ex44_wb):
 
 def test_extrapolate_exact_line():
     pts = [(F(1, k), F(-1, k)) for k in (4, 8, 16, 32)]
-    intercept, _, ok = _extrapolate(pts, F(1, 1000))
+    intercept, _, ok = _extrapolate(pts)
     assert intercept == 0
     assert ok
 
@@ -250,7 +250,7 @@ def test_extrapolate_exact_line():
 def test_extrapolate_fallback_drops_broken_point():
     pts = [(F(1, 32), F(-1, 32) - F(1, 100)), (F(1, 16), F(-1, 16)),
            (F(1, 8), F(-1, 8)), (F(1, 4), F(-1, 4))]
-    intercept, used, ok = _extrapolate(pts, F(1, 1000))
+    intercept, used, ok = _extrapolate(pts)
     assert intercept == 0
     assert ok
     assert used[0][0] == F(1, 16)

@@ -208,9 +208,6 @@ class SeriesMatrix:
     def derive(self) -> "SeriesMatrix":
         return self.map(lambda c: c.derive())
 
-    def truncate(self, order: int) -> "SeriesMatrix":
-        return self.map(lambda c: c.truncate(order))
-
     def matvec(self, vec: list[TruncatedSeries]) -> list[TruncatedSeries]:
         m, n = self.shape
         if len(vec) != n:

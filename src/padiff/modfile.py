@@ -169,6 +169,13 @@ def _coeff_from_json(value, p: int) -> PadicNumber:
     if isinstance(value, str):
         q = Fraction(value)
         return PadicNumber.from_rational(q.numerator, q.denominator, p)
+    # every later product works on integers mod p**precision, so an
+    # unbounded precision or valuation could stall the process
+    if value["v"] != "inf":
+        for key in ("v", "precision"):
+            if abs(int(value[key])) > MAX_ORDER:
+                raise ModfileError("coefficient %s is outside -%d..%d"
+                                   % (key, MAX_ORDER, MAX_ORDER))
     return PadicNumber.from_json(value, p)
 
 

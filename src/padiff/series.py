@@ -8,6 +8,20 @@ must shrink its output window accordingly.
 All radius and norm bookkeeping is done on logarithmic scale with exact
 ``Fraction`` exponents: a radius is written p**(-r) and only r is ever
 stored, so corpus-level radius identities can be checked exactly.
+
+A product whose operands hold a capped or inexact-zero coefficient is
+computed packed.  Each operand becomes integer digits at its least
+valuation, packed side by side into one big int, and the two are
+multiplied once (Kronecker substitution).  Coefficient k is known to
+A_k = min over its pairs of min(abs_x + v_y, v_x + abs_y), two min-plus
+convolutions, and is the packed value mod p**A_k: a capped sum is the
+true sum to the least precision of its terms, in any order.  Pairs of
+exact coefficients are summed one by one, as before, and settle the
+coefficients no other pair reaches.  The whole product is summed pair by
+pair instead when one of those sums is demoted, or when the operands'
+valuations spread so far that the packed ints would be mostly zeros.
+Products of exact series always are, since an exact value's precision
+shadow N depends on the order of its additions.
 """
 
 from __future__ import annotations
@@ -15,6 +29,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add
 
 from padiff.padic import DEFAULT_PRECISION, PadicNumber, PrecisionError, vp_int
 
@@ -221,17 +236,12 @@ class TruncatedSeries:
             raise ValueError("mixed primes")
         w = self._common_window(other)
         hi = self.order + other.order if w is None else w
-        zero = PadicNumber.exact_zero(self.p)
-        out = [zero] * (hi + 1)
-        terms = [(j, b) for j, b in enumerate(other.coeffs) if not b.is_exact_zero]
-        for i, a in enumerate(self.coeffs):
-            if a.is_exact_zero:
-                continue
-            jmax = hi - i
-            for j, b in terms:
-                if j > jmax:
-                    break
-                out[i + j] = out[i + j] + a * b
+        a, b = self.coeffs[:hi + 1], other.coeffs[:hi + 1]
+        out = None
+        if any(c.exact is None for c in a) or any(c.exact is None for c in b):
+            out = _packed_product(self.p, a, b, hi)
+        if out is None:
+            out = _product_loop(self.p, a, b, hi, False)
         return TruncatedSeries(self.p, out, w is None)
 
     def derive(self) -> "TruncatedSeries":
@@ -242,17 +252,23 @@ class TruncatedSeries:
             raise ValueError("window too small to differentiate")
         p = self.p
         out = []
+        # each branch is what from_int(i) * c gives, without building
+        # from_int(i): v_p(i) joins the valuation, and a capped unit is
+        # multiplied by the unit part of i to its own N digits
         for i in range(1, self.order + 1):
             c = self.coeffs[i]
             if c.is_exact_zero:
                 out.append(c)
-            elif c.exact is not None:
-                # what from_int(i) * c gives, without building from_int(i)
-                out.append(PadicNumber._from_exact(c.exact * i, p,
-                                                   min(DEFAULT_PRECISION, c.N),
-                                                   c.v + vp_int(i, p)))
+                continue
+            j = vp_int(i, p)
+            if c.exact is not None:
+                c = PadicNumber._from_exact(c.exact * i, p,
+                                            min(DEFAULT_PRECISION, c.N), c.v + j)
+            elif c.u:
+                c = PadicNumber(p, c.v + j, (i // p ** j) * c.u % p ** c.N, c.N)
             else:
-                out.append(PadicNumber.from_int(i, p) * c)
+                c = PadicNumber.inexact_zero(p, c.v + j)
+            out.append(c)
         return TruncatedSeries(p, out, self.tail_exact)
 
     def invert(self, order: int | None = None) -> "TruncatedSeries":
@@ -404,3 +420,139 @@ class TruncatedSeries:
         body = " + ".join(shown) if shown else "0"
         tail = "" if self.tail_exact else " + O(t^%d)" % (self.order + 1)
         return "<series %s%s>" % (body, tail)
+
+
+# ----------------------------------------------------------------------
+# product kernels
+
+# digits a packed slot may span beyond twice the largest relative
+# precision among the operands before a product takes the pairwise loop
+_SLOT_SLACK = 64
+
+
+def _product_loop(p: int, a: list[PadicNumber], b: list[PadicNumber], hi: int,
+                  exact_only: bool) -> list[PadicNumber]:
+    """Coefficients 0..hi of a*b, summed pair by pair in index order.
+
+    With exact_only, only pairs of exact nonzero coefficients are summed.
+    """
+    if exact_only:
+        xs = [(i, x) for i, x in enumerate(a) if x.u and x.exact is not None]
+        ys = [(j, y) for j, y in enumerate(b) if y.u and y.exact is not None]
+    else:
+        xs = [(i, x) for i, x in enumerate(a) if not x.is_exact_zero]
+        ys = [(j, y) for j, y in enumerate(b) if not y.is_exact_zero]
+    out = [PadicNumber.exact_zero(p)] * (hi + 1)
+    for i, x in xs:
+        jmax = hi - i
+        for j, y in ys:
+            if j > jmax:
+                break
+            out[i + j] = out[i + j] + x * y
+    return out
+
+
+def _packed_product(p: int, a: list[PadicNumber], b: list[PadicNumber],
+                    hi: int) -> list[PadicNumber] | None:
+    """Coefficients 0..hi of a*b by one big-int multiply (Kronecker).
+
+    A coefficient that some pair with a non-exact factor reaches is known
+    to the absolute precision A_k, the min over those pairs of
+    min(abs_x + v_y, v_x + abs_y), and its value is the true sum of the
+    pair products mod p**A_k whatever the order of the additions.  So the
+    values come from one product of the operands' integer digits packed
+    at a fixed slot width.  The other coefficients sum their exact pairs
+    in _product_loop.  None when one of those sums is demoted, because a
+    demoted value carries a finite precision of its own into A_k, and when
+    a slot would span far more digits than any coefficient knows.
+    """
+    prec = _precision(a, b, hi)
+    live = [k for k, e in enumerate(prec) if e != math.inf]
+    va = min((c.v for c in a if c.u), default=None)
+    vb = min((c.v for c in b if c.u), default=None)
+    base = None if va is None or vb is None else va + vb
+    K = 0 if base is None or not live else max(prec[k] for k in live) - base
+    # a slot spans the operands' valuation spread plus their precision;
+    # when the spread dominates, the packed ints are mostly zero digits
+    # and the pairwise loop is far cheaper
+    if K > 2 * max(c.N for c in a + b if c.exact is None) + _SLOT_SLACK:
+        return None
+    out = _product_loop(p, a, b, hi, True)
+    if any(c.exact is None for c in out):
+        return None
+    if K <= 0:
+        for k in live:
+            out[k] = PadicNumber.inexact_zero(p, prec[k])
+        return out
+    pw = [1]
+    for _ in range(K):
+        pw.append(pw[-1] * p)
+    ra = _digits(p, a, va, K, pw)
+    rb = _digits(p, b, vb, K, pw)
+    terms = min(len(ra) - ra.count(0), len(rb) - rb.count(0))
+    width = max(((terms * (pw[K] - 1) ** 2).bit_length() + 7) // 8, 1)
+    packed = _pack(ra, width) * _pack(rb, width)
+    data = packed.to_bytes(width * (len(ra) + len(rb) - 1), "little")
+    for k in live:
+        e = prec[k] - base
+        w = 0
+        if e > 0:
+            w = int.from_bytes(data[k * width:(k + 1) * width], "little") % pw[e]
+        if not w:
+            out[k] = PadicNumber.inexact_zero(p, prec[k])
+            continue
+        j = vp_int(w, p)
+        out[k] = PadicNumber(p, base + j, w // pw[j], e - j)
+    return out
+
+
+def _precision(a: list[PadicNumber], b: list[PadicNumber], hi: int) -> list:
+    """A_k for k = 0..hi, by two min-plus convolutions: abs_a (+) v_b and
+    v_a (+) abs_b.
+
+    abs is infinite on exact coefficients and v on exact zeros, so exact
+    pairs and pairs with an exact-zero factor drop out; A_k is math.inf
+    when no other pair reaches k.
+    """
+    abs_a = [c.v + c.N if c.exact is None else math.inf for c in reversed(a)]
+    v_a = [math.inf if c.is_exact_zero else c.v for c in reversed(a)]
+    abs_b = [c.v + c.N if c.exact is None else math.inf for c in b]
+    v_b = [math.inf if c.is_exact_zero else c.v for c in b]
+    la, lb = len(a), len(b)
+    out = []
+    for k in range(hi + 1):
+        # pairs (k - j, j) for j in lo..top-1, read off the reversed a
+        lo, top = max(0, k - la + 1), min(k, lb - 1) + 1
+        o = la - 1 - k
+        out.append(min(min(map(add, abs_a[o + lo:o + top], v_b[lo:top])),
+                       min(map(add, v_a[o + lo:o + top], abs_b[lo:top]))))
+    return out
+
+
+def _digits(p: int, coeffs: list[PadicNumber], base: int, K: int,
+            pw: list[int]) -> list[int]:
+    """Integers r < p**K with c == r * p**base mod p**(base + K), within
+    the digits each c knows.
+
+    An exact coefficient storing fewer digits is expanded from its
+    rational; zeros and values at or past p**(base + K) give 0.
+    """
+    out = []
+    for c in coeffs:
+        d = c.v - base
+        if not c.u or d >= K:
+            out.append(0)
+            continue
+        n = K - d
+        u = c.u
+        if c.N >= n:
+            u %= pw[n]
+        elif c.exact is not None:
+            u = PadicNumber._from_exact(c.exact, p, n, c.v).u
+        out.append(u * pw[d])
+    return out
+
+
+def _pack(digits: list[int], width: int) -> int:
+    return int.from_bytes(b"".join(r.to_bytes(width, "little") for r in digits),
+                          "little")

@@ -170,6 +170,36 @@ def test_module_rejects_rank_outside_the_bound(rank):
         module_from_json(doc)
 
 
+def _capped_entry_doc(*coeffs) -> dict:
+    doc = _rank1_doc(5)
+    doc["matrix"] = [[{"coefficients": list(coeffs), "tail_exact": False}]]
+    return doc
+
+
+@pytest.mark.parametrize("coeff", [
+    {"v": "0", "unit": "1", "precision": 10 ** 6},
+    {"v": "0", "unit": "1", "precision": MAX_ORDER + 1},
+    {"v": "0", "unit": "1", "precision": -MAX_ORDER - 1},
+    {"v": str(MAX_ORDER + 1), "unit": "1", "precision": 10},
+    {"v": str(-MAX_ORDER - 1), "unit": "1", "precision": 10},
+], ids=["precision-1e6", "precision-past", "precision-negative", "v-past",
+        "v-negative"])
+def test_module_rejects_capped_precision_and_valuation_past_the_bound(coeff):
+    # the validator alone: every product works mod p**precision, and a
+    # file at precision 10**6 once stalled a small h0 solve
+    with pytest.raises(ModfileError, match=r"entry \(0, 0\).*outside"):
+        module_from_json(_capped_entry_doc(coeff))
+
+
+def test_module_accepts_capped_precision_and_valuation_at_the_bound():
+    _, module, _ = module_from_json(_capped_entry_doc(
+        {"v": str(-MAX_ORDER), "unit": "1", "precision": MAX_ORDER},
+        {"v": "inf", "unit": "0", "precision": 10 ** 6}))
+    c, z = module.matrix.entries[0][0].coeffs
+    assert (c.v, c.N) == (-MAX_ORDER, MAX_ORDER)
+    assert z.is_exact_zero
+
+
 @pytest.mark.parametrize("entry", ["1" * 5000 + "*t", [], ["x"], ["1/0"]],
                          ids=["5000-digit-literal", "empty-list", "bad-rational",
                               "zero-denominator"])

@@ -73,7 +73,7 @@ def test_h0_needs_echelonization_after_gauge():
     A = corpus.ex44(5).module.matrix
     g = SeriesMatrix.from_rational_rows(5, [[[1], [1]], [[1], [0]]])
     ginv = SeriesMatrix.from_rational_rows(5, [[[0], [1]], [[1], [-1]]])
-    moved = DifferentialModule((ginv @ (A @ g)).truncate(240))
+    moved = DifferentialModule((ginv @ (A @ g)).map(lambda c: c.truncate(240)))
     rep = moved.h0_basis(240)
     assert rep.echelon_steps >= 1
     assert rep.dim == 1

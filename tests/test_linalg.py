@@ -108,7 +108,8 @@ def check_reconstruction(A, dec):
     m, n = A.shape
     left = dec.U @ A @ dec.V
     D = dec.diagonal_matrix(m, n)
-    assert left.truncate(dec.valid_order).agrees(D.truncate(dec.valid_order))
+    k = dec.valid_order
+    assert left.map(lambda c: c.truncate(k)).agrees(D.map(lambda c: c.truncate(k)))
 
 
 def test_snf_diagonal_already():

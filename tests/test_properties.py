@@ -13,6 +13,7 @@ from itertools import combinations
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
+from padiff import series as series_module
 from padiff.config import WorkbenchConfig
 from padiff.diffmod import DifferentialModule
 from padiff.linalg import SeriesMatrix, invert_regular, kernel_basis, smith_normal_form
@@ -107,7 +108,8 @@ def test_snf_reconstruction_chain_unimodular(A):
     m, n = A.shape
     left = dec.U @ A @ dec.V
     D = dec.diagonal_matrix(m, n)
-    assert left.truncate(dec.valid_order).agrees(D.truncate(dec.valid_order))
+    k = dec.valid_order
+    assert left.map(lambda c: c.truncate(k)).agrees(D.map(lambda c: c.truncate(k)))
     es = [e for e in dec.exponents if e is not None]
     assert es == sorted(es)
     for g in (dec.U, dec.V):
@@ -300,6 +302,9 @@ def ref_matvec(A: SeriesMatrix, vec: list[TruncatedSeries]) -> list[TruncatedSer
 # a single primitive draw per coefficient keeps case generation cheap.
 COEFF_CODES = st.integers(0, 2 ** 24)
 series_specs = st.lists(COEFF_CODES, min_size=1, max_size=7)
+# long enough for the packed product's slot width and unpacking to show
+long_series_specs = st.integers(1, 40).flatmap(
+    lambda n: st.lists(COEFF_CODES, min_size=n, max_size=n))
 TAIL_PAIRINGS = st.sampled_from(((True, True), (True, False),
                                  (False, True), (False, False)))
 
@@ -356,7 +361,7 @@ def test_derive_matches_reference(p, specs, tail_exact):
     same_outcome(f.derive, lambda: ref_derive(f))
 
 
-@given(PRIMES, series_specs, series_specs, TAIL_PAIRINGS)
+@given(PRIMES, long_series_specs, long_series_specs, TAIL_PAIRINGS)
 @SUITE
 def test_series_add_sub_mul_match_reference(p, specs_f, specs_g, tails):
     f = make_series(p, specs_f, tails[0])
@@ -368,7 +373,7 @@ def test_series_add_sub_mul_match_reference(p, specs_f, specs_g, tails):
 
 
 @given(PRIMES, st.sampled_from(((1, 1), (1, 2), (2, 2), (2, 3))),
-       st.lists(st.tuples(series_specs, st.booleans()), min_size=9, max_size=9))
+       st.lists(st.tuples(long_series_specs, st.booleans()), min_size=9, max_size=9))
 @SUITE
 def test_matvec_matches_reference(p, shape, pool):
     m, n = shape
@@ -376,6 +381,45 @@ def test_matvec_matches_reference(p, shape, pool):
     A = SeriesMatrix(p, [cells[i * n:(i + 1) * n] for i in range(m)])
     vec = cells[m * n:m * n + n]
     assert A.matvec(vec) == ref_matvec(A, vec)
+
+
+def test_mul_falls_back_when_an_exact_partial_sum_is_demoted():
+    # x * x has about 6000 bits, past DEMOTE_BITS, so the exact pair sum at
+    # t**1 is demoted to a capped value with x's N = 5 digits; that value's
+    # precision caps the sum with the capped pair c * x, which the packed
+    # product alone would know only to c's 20 digits
+    p = 5
+    x = PadicNumber.from_rational(7 ** 1070 + 2, 3 ** 900, p, 5)
+    assert x.exact.numerator.bit_length() > 3000
+    c = PadicNumber.approximate(p, 0, 1, 20)
+    f = TruncatedSeries(p, [x, c], True)
+    g = TruncatedSeries(p, [x, x], True)
+    got = f * g
+    assert got == ref_mul(f, g)
+    assert got.coeffs[1].exact is None and got.coeffs[1].v + got.coeffs[1].N == 5
+
+
+def test_mul_packs_unless_valuations_spread_far(monkeypatch):
+    # a packed slot spans the operands' valuation spread plus their
+    # precision: at valuations -2000 and 2000 beside 20 known digits it
+    # would span over 4000 digits, so that product is summed pair by pair
+    pack = series_module._pack
+    widths = []
+
+    def recording_pack(digits, width):
+        widths.append(width)
+        return pack(digits, width)
+
+    monkeypatch.setattr(series_module, "_pack", recording_pack)
+    p = 5
+    near = TruncatedSeries(p, [PadicNumber.approximate(p, i % 3, i + 1, 20)
+                               for i in range(6)], False)
+    far = TruncatedSeries(p, [PadicNumber.approximate(p, 2000 if i % 2 else -2000, i + 1, 20)
+                              for i in range(6)], False)
+    assert near * near == ref_mul(near, near)
+    assert len(widths) == 2             # one packed int per operand
+    assert far * far == ref_mul(far, far)
+    assert len(widths) == 2
 
 
 @given(PRIMES, COEFF_CODES, COEFF_CODES, st.sampled_from(("add", "sub", "mul", "div")))

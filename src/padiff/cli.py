@@ -82,20 +82,6 @@ def _poly_str(series, terms: int = 4) -> str:
     return " + ".join(parts) if parts else "0"
 
 
-def _now() -> str:
-    return datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
-
-
-def _emit(args, doc: dict, started: float) -> None:
-    if not getattr(args, "out", None):
-        return
-    doc = dict(doc)
-    doc["timestamp"] = "%s elapsed=%.3fs" % (_now(), time.monotonic() - started)
-    with open(args.out, "w") as fh:
-        json.dump(doc, fh, indent=1, sort_keys=True)
-        fh.write("\n")
-
-
 # ----------------------------------------------------------------------
 # input handling
 
@@ -113,17 +99,20 @@ def _load(ref: str):
 
 
 def _parse_rho_grid(text: str) -> tuple[int, ...]:
+    """At least two distinct k: the boundary fit runs through two radii."""
     out = []
     for tok in text.split(","):
         tok = tok.strip()
         # the digit count first, so int() never sees an over-long token
         if (not tok.isdigit() or len(tok) > len(str(MAX_ORDER))
                 or not 1 <= int(tok) <= MAX_ORDER):
-            raise UsageError("--rho-grid wants integers k in 1..%d "
-                             "(sample radii p^(-1/k)), got %r" % (MAX_ORDER, tok))
+            raise argparse.ArgumentTypeError(
+                "wants integers k in 1..%d (sample radii p^(-1/k)), got %r"
+                % (MAX_ORDER, tok))
         out.append(int(tok))
-    if not out:
-        raise UsageError("--rho-grid is empty")
+    if len(out) < 2 or len(set(out)) < len(out):
+        raise argparse.ArgumentTypeError("wants at least two k, all distinct, "
+                                         "got %r" % text)
     return tuple(out)
 
 
@@ -136,12 +125,12 @@ def _parse_rho(tok: str) -> Fraction:
         try:
             r = Fraction(tok[3:])
         except (ValueError, ZeroDivisionError):
-            raise UsageError("bad radius exponent in %r" % tok) from None
+            raise argparse.ArgumentTypeError("bad radius exponent in %r" % tok) from None
         if r <= 0:
-            raise UsageError("radius must sit inside the closed unit disc")
+            raise argparse.ArgumentTypeError("radius must sit inside the closed unit disc")
         return r
-    raise UsageError("--rho wants 1 or p^-R with R a positive rational, "
-                     "got %r" % tok)
+    raise argparse.ArgumentTypeError("wants 1 or p^-R with R a positive rational, "
+                                     "got %r" % tok)
 
 
 def _config(args, orders: dict | None = None) -> WorkbenchConfig:
@@ -150,10 +139,14 @@ def _config(args, orders: dict | None = None) -> WorkbenchConfig:
     given = {
         "order": args.order if args.order is not None else orders.get("solve"),
         "iterates": args.iterates if args.iterates is not None else orders.get("iterates"),
-        "rho_denominators": _parse_rho_grid(args.rho_grid) if args.rho_grid else None,
+        "rho_denominators": args.rho_grid,
         "growth_tolerance": args.tolerance_growth,
         "jobs": args.jobs,
     }
+    for flag in ("order", "iterates"):
+        # the bound a description file's orders already have
+        if given[flag] is not None and not 1 <= given[flag] <= MAX_ORDER:
+            raise UsageError("--%s must be in 1..%d" % (flag, MAX_ORDER))
     if args.jobs is not None and args.jobs < 1:
         raise UsageError("--jobs must be at least 1")
     return WorkbenchConfig(**{k: v for k, v in given.items() if v is not None})
@@ -283,13 +276,14 @@ def _verdict_exit(*verdicts: str) -> int:
 
 
 # ----------------------------------------------------------------------
-# subcommands
+# subcommands: each returns (report body, exit code) to _run
 
 
-def cmd_solve(args) -> int:
-    started = time.monotonic()
-    name, module, _, orders = _load(args.module)
-    cfg = _config(args, orders)
+def _about(name: str, module) -> dict:
+    return {"module": name, "prime": module.p, "rank": module.rank}
+
+
+def cmd_solve(args, cfg, name, module, expected) -> tuple[dict, int]:
     h0 = module.h0_basis(cfg.order)
     print("%s: rank %d over Q_%d, order %d"
           % (name, module.rank, module.p, cfg.order))
@@ -304,53 +298,36 @@ def cmd_solve(args) -> int:
     print("  H^0 dimension %d (echelon steps %d)%s"
           % (h0.dim, h0.echelon_steps,
              ", inconclusive" if h0.inconclusive else ""))
-    _emit(args, {
-        "command": "solve",
-        "module": name,
-        "prime": module.p,
-        "rank": module.rank,
-        "config": _config_echo(cfg),
+    return {
+        **_about(name, module),
         "h0_dim": h0.dim,
         "inconclusive": h0.inconclusive,
         "echelon_steps": h0.echelon_steps,
         "sections": _digest_sections(h0),
-    }, started)
-    return 2 if h0.inconclusive else 0
+    }, 2 if h0.inconclusive else 0
 
 
-def cmd_h0(args) -> int:
-    started = time.monotonic()
-    name, module, _, orders = _load(args.module)
-    cfg = _config(args, orders)
+def cmd_h0(args, cfg, name, module, expected) -> tuple[dict, int]:
     h0 = module.h0_basis(cfg.order)
     verdicts = ", ".join(r.verdict for r in h0.sections)
     print("%s: h0 = %d of %d (%s)%s"
           % (name, h0.dim, module.rank, verdicts,
              ", inconclusive" if h0.inconclusive else ""))
-    _emit(args, {
-        "command": "h0",
-        "module": name,
-        "prime": module.p,
-        "rank": module.rank,
-        "config": _config_echo(cfg),
+    return {
+        **_about(name, module),
         "h0_dim": h0.dim,
         "inconclusive": h0.inconclusive,
         "verdicts": [r.verdict for r in h0.sections],
-    }, started)
-    return 2 if h0.inconclusive else 0
+    }, 2 if h0.inconclusive else 0
 
 
-def cmd_growth(args) -> int:
-    started = time.monotonic()
-    name, module, _, orders = _load(args.module)
-    cfg = _config(args, orders)
+def cmd_growth(args, cfg, name, module, expected) -> tuple[dict, int]:
     h0 = module.h0_basis(cfg.order)
     rows = []
     indeterminate = h0.inconclusive
     print("%s: log-growth of the %d bounded sections" % (name, h0.dim))
     for i, sec in enumerate(h0.basis):
-        order = orders.get("growth")
-        got = growth_order(sec, order=order)
+        got = growth_order(sec)
         indeterminate = indeterminate or got.indeterminate
         print("  section %d: delta_hat %s on window %s%s"
               % (i, _dec(got.value), got.window,
@@ -361,23 +338,11 @@ def cmd_growth(args) -> int:
             "window": list(got.window),
             "indeterminate": got.indeterminate,
         })
-    _emit(args, {
-        "command": "growth",
-        "module": name,
-        "prime": module.p,
-        "rank": module.rank,
-        "config": _config_echo(cfg),
-        "h0_dim": h0.dim,
-        "sections": rows,
-    }, started)
-    return 2 if indeterminate else 0
+    doc = {**_about(name, module), "h0_dim": h0.dim, "sections": rows}
+    return doc, 2 if indeterminate else 0
 
 
-def cmd_radii(args) -> int:
-    started = time.monotonic()
-    rho = None if args.rho is None else _parse_rho(args.rho)
-    name, module, _, orders = _load(args.module)
-    cfg = _config(args, orders)
+def cmd_radii(args, cfg, name, module, expected) -> tuple[dict, int]:
     wb = RadiusWorkbench(module, cfg)
     boundary = wb.boundary_multiset()
     print("%s: boundary log_p radii %s"
@@ -391,23 +356,15 @@ def cmd_radii(args) -> int:
         ms = wb.multiset(r)
         print("  r=%s: %s" % (r, ", ".join(str(v) for v in ms.log_radii)))
         grid_rows.append(_digest_multiset(ms))
-    doc = {
-        "command": "radii",
-        "module": name,
-        "prime": module.p,
-        "rank": module.rank,
-        "config": _config_echo(cfg),
-        "boundary": _digest_boundary(boundary),
-        "grid": grid_rows,
-    }
-    if rho is not None:
-        ms = wb.multiset(rho)
+    doc = {**_about(name, module), "boundary": _digest_boundary(boundary),
+           "grid": grid_rows}
+    if args.rho is not None:
+        ms = wb.multiset(args.rho)
         print("  sample at rho=%s: %s"
-              % ("1" if rho == 0 else "p^-%s" % rho,
+              % ("1" if args.rho == 0 else "p^-%s" % args.rho,
                  ", ".join("p^(%s)" % v for v in ms.log_radii)))
         doc["sample"] = _digest_multiset(ms)
-    _emit(args, doc, started)
-    return 0
+    return doc, 0
 
 
 _SVG_COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e",
@@ -456,10 +413,7 @@ def _fprofile_svg(rows, rank: int) -> str:
     return "\n".join(parts) + "\n"
 
 
-def cmd_fprofile(args) -> int:
-    started = time.monotonic()
-    name, module, _, orders = _load(args.module)
-    cfg = _config(args, orders)
+def cmd_fprofile(args, cfg, name, module, expected) -> tuple[dict, int]:
     wb = RadiusWorkbench(module, cfg)
     rs = sorted({Fraction(0), *(Fraction(1, k) for k in cfg.rho_denominators)})
     prof = wb.f_profile(rs)
@@ -478,42 +432,23 @@ def cmd_fprofile(args) -> int:
         with open(args.svg, "w") as fh:
             fh.write(_fprofile_svg(prof.rows, module.rank))
         print("  wrote %s" % args.svg)
-    _emit(args, {
-        "command": "fprofile",
-        "module": name,
-        "prime": module.p,
-        "rank": module.rank,
-        "config": _config_echo(cfg),
+    return {
+        **_about(name, module),
         "rows": [{"r": str(r), "partial_sums": [str(v) for v in partial]}
                  for r, partial in prof.rows],
         "convex": prof.convex,
         "nondecreasing": prof.nondecreasing,
-    }, started)
-    return 0
+    }, 0
 
 
-def cmd_construct(args) -> int:
-    started = time.monotonic()
-    name, module, _, orders = _load(args.module)
-    cfg = _config(args, orders)
-    status = 0
-    doc = {
-        "command": "construct-l",
-        "module": name,
-        "prime": module.p,
-        "rank": module.rank,
-        "config": _config_echo(cfg),
-    }
+def cmd_construct(args, cfg, name, module, expected) -> tuple[dict, int]:
     try:
         witness = construct_submodule(module, cfg)
     except WitnessError as exc:
-        status = 2 if exc.inconclusive else 1
         print("%s: construction %s: %s"
               % (name, "inconclusive" if exc.inconclusive else "failed", exc))
-        doc["error"] = str(exc)
-        doc["inconclusive"] = exc.inconclusive
-        _emit(args, doc, started)
-        return status
+        return {**_about(name, module), "error": str(exc),
+                "inconclusive": exc.inconclusive}, 2 if exc.inconclusive else 1
     d = witness.diagnostics
     print("%s: %s branch, submodule rank %d of %d"
           % (name, d.branch, witness.rank, module.rank))
@@ -527,15 +462,10 @@ def cmd_construct(args) -> int:
         print("  subsidiary radius hypothesis: log %s (%s)"
               % (d.hypothesis_log_radius, "ok" if d.hypothesis_ok else "violated"))
     print("  diagnostics %s" % ("ok" if d.ok else "FAILING"))
-    doc["witness"] = _digest_witness(witness)
-    _emit(args, doc, started)
-    return 0 if d.ok else 1
+    return {**_about(name, module), "witness": _digest_witness(witness)}, 0 if d.ok else 1
 
 
-def cmd_verify_dwork(args) -> int:
-    started = time.monotonic()
-    name, module, _, orders = _load(args.module)
-    cfg = _config(args, orders)
+def cmd_verify_dwork(args, cfg, name, module, expected) -> tuple[dict, int]:
     rep = verify_dwork_bound(module, cfg)
     if not rep.applicable:
         print("%s: %s (h0 %d < rank %d, bound does not apply)"
@@ -545,12 +475,7 @@ def cmd_verify_dwork(args) -> int:
               % (name, rep.verdict,
                  ", ".join(_dec(d) for d in rep.delta_hats) or "none",
                  _dec(rep.bound), rep.fil_stable))
-    _emit(args, {
-        "command": "verify-dwork",
-        "config": _config_echo(cfg),
-        "report": _digest_dwork(rep),
-    }, started)
-    return _verdict_exit(rep.verdict)
+    return {"report": _digest_dwork(rep)}, _verdict_exit(rep.verdict)
 
 
 def _print_conjecture(rep) -> None:
@@ -569,10 +494,7 @@ def _print_conjecture(rep) -> None:
              "consistent" if rep.transfer.consistent else "INCONSISTENT"))
 
 
-def cmd_verify_conjecture(args) -> int:
-    started = time.monotonic()
-    name, module, expected, orders = _load(args.module)
-    cfg = _config(args, orders)
+def cmd_verify_conjecture(args, cfg, name, module, expected) -> tuple[dict, int]:
     rep = verify_conjecture(module, cfg)
     _print_conjecture(rep)
     # a description file's expected block is a regression check; corpus
@@ -582,15 +504,10 @@ def cmd_verify_conjecture(args) -> int:
         failed = [k for k, ok in _corpus_checks(rep, expected).items() if not ok]
         for key in failed:
             print("  expected %s: mismatch" % key)
-    _emit(args, {
-        "command": "verify-conjecture",
-        "config": _config_echo(cfg),
-        "report": _digest_conjecture(rep),
-    }, started)
     verdicts = [rep.verdict]
     if not rep.transfer.consistent or failed:
         verdicts.append(FAIL)
-    return _verdict_exit(*verdicts)
+    return {"report": _digest_conjecture(rep)}, _verdict_exit(*verdicts)
 
 
 # ----------------------------------------------------------------------
@@ -630,21 +547,21 @@ def _corpus_job(payload) -> dict:
     }
 
 
-def cmd_corpus(args) -> int:
-    started = time.monotonic()
-    cfg = _config(args)
+def _name_list(text: str, known: list[str]) -> list[str]:
+    names = [t.strip() for t in text.split(",") if t.strip()]
+    unknown = [t for t in names if t not in known]
+    if unknown:
+        raise UsageError("unknown corpus modules: %s" % ", ".join(unknown))
+    return names
+
+
+def cmd_corpus(args, cfg) -> tuple[dict, int]:
     selected = corpus.names()
     if args.only:
-        wanted = [t.strip() for t in args.only.split(",") if t.strip()]
-        unknown = [t for t in wanted if t not in selected]
-        if unknown:
-            raise UsageError("unknown corpus modules: %s" % ", ".join(unknown))
+        wanted = _name_list(args.only, selected)
         selected = [n for n in selected if n in wanted]
     if args.skip:
-        dropped = {t.strip() for t in args.skip.split(",") if t.strip()}
-        unknown = sorted(dropped - set(selected))
-        if unknown:
-            raise UsageError("unknown corpus modules: %s" % ", ".join(unknown))
+        dropped = _name_list(args.skip, selected)
         selected = [n for n in selected if n not in dropped]
     if not selected:
         raise UsageError("corpus selection is empty")
@@ -669,9 +586,7 @@ def cmd_corpus(args) -> int:
     print("corpus: %d modules, %d pass, %d fail, %d inconclusive -> %s"
           % (len(results), counts.get(PASS, 0), counts.get(FAIL, 0),
              counts.get(INCONCLUSIVE, 0), rollup))
-    _emit(args, {
-        "command": "corpus",
-        "config": _config_echo(cfg),
+    return {
         "modules": results,
         "rollup": {
             "pass": counts.get(PASS, 0),
@@ -679,8 +594,30 @@ def cmd_corpus(args) -> int:
             "inconclusive": counts.get(INCONCLUSIVE, 0),
             "verdict": rollup,
         },
-    }, started)
-    return _verdict_exit(*(res["verdict"] for res in results))
+    }, _verdict_exit(*(res["verdict"] for res in results))
+
+
+def _run(args) -> int:
+    """Load the module (every subcommand but corpus takes one), build the
+    config, run the subcommand, and write its report with the command
+    and config added."""
+    started = time.monotonic()
+    if "module" in args:
+        name, module, expected, orders = _load(args.module)
+        cfg = _config(args, orders)
+        doc, code = args.func(args, cfg, name, module, expected)
+    else:
+        cfg = _config(args)
+        doc, code = args.func(args, cfg)
+    if args.out:
+        doc.update(command=args.command, config=_config_echo(cfg),
+                   timestamp="%s elapsed=%.3fs" % (
+                       datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ"),
+                       time.monotonic() - started))
+        with open(args.out, "w") as fh:
+            json.dump(doc, fh, indent=1, sort_keys=True)
+            fh.write("\n")
+    return code
 
 
 # ----------------------------------------------------------------------
@@ -694,8 +631,10 @@ def _build_parser() -> _Parser:
                         help="truncation order for section solving")
     common.add_argument("--iterates", type=int, metavar="N",
                         help="derivation power iterates for radius reads")
-    common.add_argument("--rho-grid", dest="rho_grid", metavar="LIST",
-                        help="comma list of k; sample radii p^(-1/k)")
+    common.add_argument("--rho-grid", dest="rho_grid", type=_parse_rho_grid,
+                        metavar="LIST",
+                        help="comma list of at least two distinct k; sample "
+                             "radii p^(-1/k)")
     common.add_argument("--tolerance-growth", dest="tolerance_growth",
                         type=float, metavar="X",
                         help="slack on log-growth bounds")
@@ -719,7 +658,7 @@ def _build_parser() -> _Parser:
     add("h0", cmd_h0, "dimension of the bounded horizontal sections")
     add("growth", cmd_growth, "log-growth orders of the bounded sections")
     sp = add("radii", cmd_radii, "convergence radius multisets")
-    sp.add_argument("--rho", metavar="RHO",
+    sp.add_argument("--rho", type=_parse_rho, metavar="RHO",
                     help="extra sample radius: 1 or p^-R, R rational")
     sp = add("fprofile", cmd_fprofile, "partial sums of -log radii over a grid")
     sp.add_argument("--csv", metavar="PATH", help="write the profile as CSV")
@@ -743,11 +682,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 3
     try:
-        return args.func(args)
-    except (ModfileError, UsageError) as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 3
-    except OSError as exc:
+        return _run(args)
+    except (ModfileError, UsageError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 3
 

@@ -38,6 +38,37 @@ EPS_MARGIN = 5e-3
 ECHELON_MARGIN = 0.05
 
 
+@dataclass(frozen=True)
+class GrowthOrder:
+    value: float                 # max over coordinates of the tail estimate
+    attained: tuple[int, int] | None   # (coordinate, index) of the max
+    lam: Fraction | None         # max over coordinates of the linear rate
+    indeterminate: bool
+    window: tuple[int, int]
+
+
+def growth_order(section, order: int | None = None,
+                 start: float = TAIL_START) -> GrowthOrder:
+    """Componentwise max of the growth estimates of the coordinates on
+    the window [start * order, order]."""
+    if order is None:
+        order = min(s.order for s in section)
+    lo = max(int(start * order), 1)
+    value = 0.0
+    attained = None
+    lam = None
+    indeterminate = False
+    for ci, coord in enumerate(section):
+        prof = coord.growth_profile(lo, order)
+        indeterminate = indeterminate or prof.indeterminate
+        if prof.delta_attained is not None and prof.delta_hat >= value:
+            value = prof.delta_hat
+            attained = (ci, prof.delta_attained)
+        if prof.lam is not None and (lam is None or prof.lam > lam):
+            lam = prof.lam
+    return GrowthOrder(value, attained, lam, indeterminate, (lo, order))
+
+
 @dataclass
 class SectionReport:
     start: list[PadicNumber]
@@ -203,15 +234,12 @@ class DifferentialModule:
         return H0Report(reports, dim, inconclusive, steps)
 
     def _classify(self, start, section, order: int) -> SectionReport:
-        lo = max(int(TAIL_START * order), 1)
-        late = max(int(LATE_START * order), 1)
-        lam, lam_late = _vector_growth(section, lo, order), _vector_growth(section, late, order)
-        verdict = _verdict(lam)
-        if verdict != INCONCLUSIVE and _verdict(lam_late) != verdict:
+        tail = growth_order(section, order)
+        late = growth_order(section, order, LATE_START)
+        verdict = _verdict(tail.lam)
+        if verdict != INCONCLUSIVE and _verdict(late.lam) != verdict:
             verdict = INCONCLUSIVE
-        delta = max((s.growth_profile(lo, order).delta_hat for s in section),
-                    default=0.0)
-        return SectionReport(start, section, lam, lam_late, verdict, delta)
+        return SectionReport(start, section, tail.lam, late.lam, verdict, tail.value)
 
     def _echelonize(self, reports: list[SectionReport],
                     order: int) -> tuple[list[SectionReport], int]:
@@ -282,15 +310,6 @@ class DifferentialModule:
         if target is None:
             return None
         return coeffs, target
-
-
-def _vector_growth(section, lo: int, hi: int) -> Fraction | None:
-    lam = None
-    for coord in section:
-        prof = coord.growth_profile(lo, hi)
-        if prof.lam is not None and (lam is None or prof.lam > lam):
-            lam = prof.lam
-    return lam
 
 
 def _verdict(lam: Fraction | None) -> str:

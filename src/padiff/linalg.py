@@ -189,10 +189,6 @@ class SeriesMatrix:
     def map(self, fn) -> "SeriesMatrix":
         return SeriesMatrix(self.p, [[fn(c) for c in row] for row in self.entries])
 
-    def __add__(self, other):
-        return SeriesMatrix(self.p, [[a + b for a, b in zip(ra, rb)]
-                                     for ra, rb in zip(self.entries, other.entries)])
-
     def __sub__(self, other):
         return SeriesMatrix(self.p, [[a - b for a, b in zip(ra, rb)]
                                      for ra, rb in zip(self.entries, other.entries)])

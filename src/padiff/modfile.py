@@ -253,7 +253,7 @@ class ModuleDescription:
     path: str | None = None
 
 
-_ORDER_KEYS = ("solve", "growth", "iterates")
+_ORDER_KEYS = ("solve", "iterates")
 
 
 def parse_module(path) -> ModuleDescription:

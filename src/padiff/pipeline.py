@@ -1,7 +1,6 @@
 """Verification pipeline for log-growth bounds of horizontal sections.
 
-Three stages share one vocabulary.  growth_order reads the log-growth
-exponent of a section from a tail window of its coefficients.
+Section growth is read by diffmod.growth_order, re-exported here.
 verify_dwork_bound checks the solvable-case bound: every bounded
 horizontal section of a fully solvable module has log-growth at most
 m - 1.  construct_submodule builds the bounded solvable submodule
@@ -22,7 +21,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from padiff.config import WorkbenchConfig
-from padiff.diffmod import EPS_CONVERGENT, TAIL_START, DifferentialModule, H0Report
+from padiff.diffmod import EPS_CONVERGENT, DifferentialModule, H0Report, growth_order
 from padiff.linalg import (
     NoSolutionError,
     SeriesMatrix,
@@ -50,35 +49,6 @@ class WitnessError(RuntimeError):
     def __init__(self, message: str, inconclusive: bool = False):
         super().__init__(message)
         self.inconclusive = inconclusive
-
-
-# ----------------------------------------------------------------------
-# growth order of a section
-
-
-@dataclass(frozen=True)
-class GrowthOrder:
-    value: float                 # max over coordinates of the tail estimate
-    attained: tuple[int, int] | None   # (coordinate, index) of the max
-    indeterminate: bool
-    window: tuple[int, int]
-
-
-def growth_order(section, order: int | None = None) -> GrowthOrder:
-    """Componentwise max of the log-growth estimates of the coordinates."""
-    if order is None:
-        order = min(s.order for s in section)
-    lo = max(int(TAIL_START * order), 1)
-    value = 0.0
-    attained = None
-    indeterminate = False
-    for ci, coord in enumerate(section):
-        prof = coord.growth_profile(lo, order)
-        indeterminate = indeterminate or prof.indeterminate
-        if prof.delta_attained is not None and prof.delta_hat >= value:
-            value = prof.delta_hat
-            attained = (ci, prof.delta_attained)
-    return GrowthOrder(value, attained, indeterminate, (lo, order))
 
 
 # ----------------------------------------------------------------------
@@ -211,6 +181,17 @@ def _zeroish(series: TruncatedSeries) -> bool:
     return all(c.is_zeroish for c in series.coeffs)
 
 
+def _vanishes(M: SeriesMatrix) -> bool:
+    return all(_zeroish(c) for row in M.entries for c in row)
+
+
+def _hypothesis(boundary: BoundaryReport, m: int, n: int) -> tuple[Fraction, bool]:
+    """The subsidiary radius the descent needs strictly inside the unit
+    circle, and whether it is."""
+    hyp = boundary.log_radii[m - n - 1]
+    return hyp, float(hyp) < -TRANSFER_TOLERANCE
+
+
 def _section_frame(p: int, sections) -> SeriesMatrix:
     m = len(sections[0])
     return SeriesMatrix(p, [[sec[i] for sec in sections] for i in range(m)])
@@ -283,11 +264,8 @@ def _induced_connection(module: DifferentialModule, phi: SeriesMatrix,
         conn = solve_regular(phi, d_phi, order)
     except NoSolutionError as exc:
         raise WitnessError("kernel basis is not D-stable: %s" % exc) from exc
-    resid = (phi @ conn) - d_phi
-    stable = all(_zeroish(resid.entries[i][j])
-                 for i in range(resid.shape[0]) for j in range(resid.shape[1]))
-    return DifferentialModule(conn, label=module.label + "|submodule"
-                              if module.label else "submodule"), stable
+    label = module.label + "|submodule" if module.label else "submodule"
+    return DifferentialModule(conn, label=label), _vanishes(phi @ conn - d_phi)
 
 
 def construct_submodule(module: DifferentialModule,
@@ -323,9 +301,7 @@ def construct_submodule(module: DifferentialModule,
         wo = frame.max_known_order()
         order = cfg.order if wo is None else min(cfg.order, wo)
         theta = invert_regular(frame, order)
-        resid = (frame @ theta) - SeriesMatrix.identity(p, m)
-        diagram_ok = all(_zeroish(resid.entries[i][j])
-                         for i in range(m) for j in range(m))
+        diagram_ok = _vanishes(frame @ theta - SeriesMatrix.identity(p, m))
         # here the witness is the module itself; e is pure diagnostics,
         # so a precision-starved sup read downgrades to a flag
         e, sup, e_cert = _normalize_sup([frame.det()], p, strict=False)
@@ -336,8 +312,7 @@ def construct_submodule(module: DifferentialModule,
                                 theta, e, diag)
 
     boundary = boundary or RadiusWorkbench(module, cfg).boundary_multiset()
-    hyp = boundary.log_radii[m - n - 1]
-    hyp_ok = float(hyp) < -TRANSFER_TOLERANCE
+    hyp, hyp_ok = _hypothesis(boundary, m, n)
     if not hyp_ok:
         raise WitnessError(
             "subsidiary radius %d sits at the unit circle (log %s); the "
@@ -364,9 +339,7 @@ def construct_submodule(module: DifferentialModule,
         theta = solve_regular(frame, phi, order)
     except NoSolutionError as exc:
         raise WitnessError("no frame change onto the sections: %s" % exc) from exc
-    resid = (frame @ theta) - phi
-    diagram_ok = all(_zeroish(resid.entries[i][j])
-                     for i in range(m) for j in range(n))
+    diagram_ok = _vanishes(frame @ theta - phi)
     t_growth = _theta_growth(theta)
     if t_growth > EPS_CONVERGENT:
         raise WitnessError("frame change diverges: growth %.4f" % t_growth)
@@ -383,14 +356,8 @@ def construct_submodule(module: DifferentialModule,
 
 
 def _theta_growth(theta: SeriesMatrix) -> float:
-    worst = 0.0
-    for row in theta.entries:
-        for entry in row:
-            lo = max(int(TAIL_START * entry.order), 1)
-            lam = entry.growth_profile(lo, entry.order).lam
-            if lam is not None:
-                worst = max(worst, float(lam))
-    return worst
+    lams = (growth_order([entry]).lam for row in theta.entries for entry in row)
+    return max([0.0] + [float(lam) for lam in lams if lam is not None])
 
 
 # ----------------------------------------------------------------------
@@ -452,8 +419,7 @@ def verify_conjecture(module: DifferentialModule,
         hyp_ok = None
         route = "solvable"
     else:
-        hyp = boundary.log_radii[m - n - 1]
-        hyp_ok = float(hyp) < -TRANSFER_TOLERANCE
+        hyp, hyp_ok = _hypothesis(boundary, m, n)
         route = "corank-one-automatic" if n == m - 1 else "measured"
 
     try:

@@ -143,28 +143,10 @@ class PowerIterates:
 
     def column_beta(self, r: Fraction, j: int):
         """(beta, zero_certified, flags) of column j; read once per radius."""
-        key = (r, j)
-        cached = self._column_betas.get(key)
-        if cached is not None:
-            return cached
-        best = None
-        flags = set()
-        zero_certified = True
-        for s in self.tail_range():
-            col = self.mats[s].column(j)
-            g, fl = _vector_norm(col, r)
-            flags.update(fl)
-            if g is None:
-                if any(not c.is_zero_series() for c in col):
-                    zero_certified = False
-                continue
-            zero_certified = False
-            val = Fraction(g, s)
-            if best is None or val > best:
-                best = val
-        out = (best, zero_certified, tuple(sorted(flags)))
-        self._column_betas[key] = out
-        return out
+        if (r, j) not in self._column_betas:
+            reads = ((s, self.mats[s].column(j)) for s in self.tail_range())
+            self._column_betas[r, j] = _beta(reads, r)
+        return self._column_betas[r, j]
 
     def vector_beta_probes(self, r: Fraction, vec: list[TruncatedSeries]):
         """beta of a combined column, sampled at a few late iterates.
@@ -176,24 +158,8 @@ class PowerIterates:
         count = self.count
         probes = sorted({count, count - 1, count - 2,
                          max(3 * count // 4, 1), max(count // 2, 1)})
-        best = None
-        flags = {"probes_only"}
-        all_zero = True
-        for s in probes:
-            if s < 1:
-                continue
-            w = self.mats[s].matvec(vec)
-            g, fl = _vector_norm(w, r)
-            flags.update(fl)
-            if g is None:
-                if any(not c.is_zero_series() for c in w):
-                    all_zero = False
-                continue
-            all_zero = False
-            val = Fraction(g, s)
-            if best is None or val > best:
-                best = val
-        return best, all_zero, tuple(sorted(flags))
+        return _beta(((s, self.mats[s].matvec(vec)) for s in probes if s >= 1),
+                     r, {"probes_only"})
 
     def kernel_candidates(self) -> list[list[TruncatedSeries]]:
         """Kernel vectors of a stack of late iterates, truncated low.
@@ -236,6 +202,27 @@ def _polynomial_lift(vec: list[TruncatedSeries],
             return vec
         out.append(TruncatedSeries(c.p, list(c.coeffs[:last + 1]), True))
     return out
+
+
+def _beta(reads, r: Fraction, flags=()):
+    """(beta, all_zero, flags) over (s, vector) reads: beta is the max
+    of log_p |w_s|_rho / s, and all_zero holds when every vector
+    vanished exactly."""
+    best = None
+    flags = set(flags)
+    all_zero = True
+    for s, vec in reads:
+        g, fl = _vector_norm(vec, r)
+        flags.update(fl)
+        if g is None:
+            if any(not c.is_zero_series() for c in vec):
+                all_zero = False
+            continue
+        all_zero = False
+        val = Fraction(g, s)
+        if best is None or val > best:
+            best = val
+    return best, all_zero, tuple(sorted(flags))
 
 
 def _vector_norm(vec: list[TruncatedSeries], r: Fraction):

@@ -16,6 +16,8 @@ import pytest
 import padiff
 from padiff.cli import main
 from padiff.diffmod import H0Report, DifferentialModule
+from padiff.pipeline import WitnessError
+from padiff.radii import PowerIterates
 from padiff import cli
 from padiff.config import WorkbenchConfig
 from padiff.modfile import (MAX_COEFFS, MAX_DEGREE, MAX_ORDER, MAX_RANK,
@@ -221,7 +223,7 @@ def test_parse_module_rejects_integers_past_the_digit_limit(tmp_path):
 
 
 @pytest.mark.parametrize("orders", [{"solve": 10 ** 12}, {"iterates": 0},
-                                    {"growth": MAX_ORDER + 1}])
+                                    {"iterates": MAX_ORDER + 1}])
 def test_parse_module_rejects_orders_outside_the_bound(tmp_path, orders):
     path = tmp_path / "big.json"
     path.write_text(json.dumps(dict(_rank1_doc(5), orders=orders)))
@@ -240,9 +242,10 @@ def _without(key) -> dict:
     dict(_rank1_doc(5), rank=1.5), dict(_rank1_doc(5), matrix=5),
     dict(_rank1_doc(5), matrix=[[5]]), dict(_rank1_doc(5), orders=5),
     dict(_rank1_doc(5), orders={"solve": "40"}), dict(_rank1_doc(5), expected=5),
+    dict(_rank1_doc(5), orders={"growth": 40}),
 ], ids=["top-level-list", "no-prime", "no-rank", "no-matrix", "prime-string",
         "rank-string", "rank-float", "matrix-number", "entry-number",
-        "orders-number", "orders-string", "expected-number"])
+        "orders-number", "orders-string", "expected-number", "orders-growth-key"])
 def test_cli_malformed_documents_exit_3(tmp_path, capsys, doc):
     # a malformed document is a ModfileError (exit 3), not a traceback
     path = tmp_path / "bad.json"
@@ -294,6 +297,44 @@ def test_cli_radii_rejects_over_long_rho_grid_token(capsys):
     assert run("radii", "ex44_p5", "--iterates", "2", "--rho-grid", "1" * 5000) == 3
     out, err = capsys.readouterr()
     assert "r=" not in out and "--rho-grid" in err
+
+
+def _forbid_solves(monkeypatch):
+    def solve(*_args, **_kwargs):
+        raise AssertionError("a usage error must stop the run before any solve")
+    monkeypatch.setattr(DifferentialModule, "solve_horizontal", solve)
+    monkeypatch.setattr(PowerIterates, "__init__", solve)
+
+
+@pytest.mark.parametrize("argv", [
+    ["radii", "ex44_p5", "--iterates", "20", "--rho-grid", "4"],
+    ["radii", "ex44_p5", "--iterates", "20", "--rho-grid", "4,4"],
+    ["radii", "ex44_p5", "--iterates", "20", "--rho-grid", "8,8,4"],
+    ["verify-conjecture", "ex44_p5", "--rho-grid", "8"],
+    ["fprofile", "ex44_p5", "--rho-grid", "4"],
+], ids=["radii-one-k", "radii-repeated-k", "radii-repeated-k-of-three",
+        "conjecture-one-k", "fprofile-one-k"])
+def test_cli_rho_grid_needs_two_distinct_k(monkeypatch, capsys, argv):
+    # the boundary fit divides by the gap between the two smallest radii
+    _forbid_solves(monkeypatch)
+    assert run(*argv) == 3
+    assert "--rho-grid" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["h0", "ex44_p5", "--order", "-5"],
+    ["h0", "ex44_p5", "--order", "0"],
+    ["solve", "ex44_p5", "--order", str(MAX_ORDER + 1)],
+    ["radii", "ex44_p5", "--iterates", "0"],
+    ["radii", "ex44_p5", "--iterates", str(MAX_ORDER + 1)],
+], ids=["order-negative", "order-zero", "order-past", "iterates-zero",
+        "iterates-past"])
+def test_cli_order_and_iterates_are_bounded(monkeypatch, capsys, argv):
+    # the bound a description file's orders have; zero iterates once read
+    # the boundary radii of ex44_p5 as (0, 0)
+    _forbid_solves(monkeypatch)
+    assert run(*argv) == 3
+    assert "must be in 1..%d" % MAX_ORDER in capsys.readouterr().err
 
 
 def test_every_config_field_is_set_by_a_flag():
@@ -385,6 +426,42 @@ def test_cli_conjecture_report_schema(tmp_path):
     assert rep["witness"]["phi"]  # matrices ride along
     assert rep["dwork"]["verdict"] == "NOT_APPLICABLE"
     assert rep["transfer"]["consistent"] is True
+
+
+ABOUT = {"module", "prime", "rank"}
+
+
+@pytest.mark.parametrize("argv,keys", [
+    (["solve", "ex44_p5"], ABOUT | {"h0_dim", "inconclusive", "echelon_steps", "sections"}),
+    (["h0", "ex44_p5"], ABOUT | {"h0_dim", "inconclusive", "verdicts"}),
+    (["growth", "ex44_p5"], ABOUT | {"h0_dim", "sections"}),
+    (["radii", "ex44_p5", "--rho", "p^-1/4"], ABOUT | {"boundary", "grid", "sample"}),
+    (["fprofile", "ex44_p5"], ABOUT | {"rows", "convex", "nondecreasing"}),
+    (["construct-l", "ex44_p5"], ABOUT | {"witness"}),
+    (["verify-dwork", "ex44_p5"], {"report"}),
+    (["verify-conjecture", "ex44_p5"], {"report"}),
+    (["corpus", "--only", "trivial1_p5"], {"modules", "rollup"}),
+], ids=["solve", "h0", "growth", "radii", "fprofile", "construct-l", "verify-dwork",
+        "verify-conjecture", "corpus"])
+def test_cli_report_top_level_keys(tmp_path, argv, keys):
+    out = tmp_path / "rep.json"
+    assert run(*argv, "--order", "60", "--iterates", "20", "--out", str(out)) == 0
+    doc = json.loads(out.read_text())
+    assert set(doc) == keys | {"command", "config", "timestamp"}
+    assert doc["command"] == argv[0]
+    assert set(doc["config"]) == ({f.name for f in fields(WorkbenchConfig)}
+                                  | {"transfer_tolerance"})
+
+
+def test_cli_construct_failure_report_keys(monkeypatch, tmp_path):
+    def fail(module, cfg):
+        raise WitnessError("window too short", inconclusive=True)
+    monkeypatch.setattr(cli, "construct_submodule", fail)
+    out = tmp_path / "rep.json"
+    assert run("construct-l", "ex44_p5", "--out", str(out)) == 2
+    doc = json.loads(out.read_text())
+    assert set(doc) == ABOUT | {"error", "inconclusive", "command", "config", "timestamp"}
+    assert doc["error"] == "window too short" and doc["inconclusive"] is True
 
 
 def test_cli_fprofile_artifacts(tmp_path, capsys):

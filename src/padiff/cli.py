@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 import time
@@ -131,6 +132,18 @@ def _parse_rho(tok: str) -> Fraction:
         return r
     raise argparse.ArgumentTypeError("wants 1 or p^-R with R a positive rational, "
                                      "got %r" % tok)
+
+
+def _parse_tolerance(tok: str) -> float:
+    """A finite, nonnegative slack on log-growth bounds: a NaN bound would
+    fail every comparison, an infinite one pass every section."""
+    try:
+        x = float(tok)
+    except ValueError:
+        raise argparse.ArgumentTypeError("wants a number, got %r" % tok) from None
+    if not math.isfinite(x) or x < 0:
+        raise argparse.ArgumentTypeError("wants a finite number >= 0, got %r" % tok)
+    return x
 
 
 def _config(args, orders: dict | None = None) -> WorkbenchConfig:
@@ -636,7 +649,7 @@ def _build_parser() -> _Parser:
                         help="comma list of at least two distinct k; sample "
                              "radii p^(-1/k)")
     common.add_argument("--tolerance-growth", dest="tolerance_growth",
-                        type=float, metavar="X",
+                        type=_parse_tolerance, metavar="X",
                         help="slack on log-growth bounds")
     common.add_argument("--jobs", type=int, metavar="N",
                         help="parallel workers for batch runs")

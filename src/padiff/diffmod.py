@@ -20,7 +20,7 @@ from itertools import combinations
 
 from padiff.linalg import SeriesMatrix, field_kernel
 from padiff.padic import PadicNumber, PrecisionError
-from padiff.series import TruncatedSeries
+from padiff.series import TruncatedSeries, block_history, block_length
 
 CONVERGENT = "convergent"
 DIVERGENT = "divergent"
@@ -186,7 +186,11 @@ class DifferentialModule:
 
     def solve_horizontal(self, start: list[PadicNumber],
                          order: int) -> list[TruncatedSeries]:
-        """The unique local solution of v' = -A v with v(0) = start."""
+        """The unique local solution of v' = -A v with v(0) = start.
+
+        The coefficients come from (s+1) v_(s+1) = -sum_d A_d v_(s-d), in
+        blocks when A's coefficients allow (see series.block_length).
+        """
         m = self.rank
         if len(start) != m:
             raise ValueError("start vector has wrong length")
@@ -196,20 +200,26 @@ class DifferentialModule:
                              % (order, w))
         p = self.p
         by_degree = self._sparse_coefficients(order)
-        zero = PadicNumber.exact_zero(p)
+        step = block_length([c for triples in by_degree.values() for _, _, c in triples],
+                            order)
         coeffs = [list(start)]
-        for s in range(order):
-            acc = [zero] * m
-            for d, triples in by_degree.items():
-                if d > s:
-                    continue
-                prev = coeffs[s - d]
-                for i, j, c in triples:
-                    if prev[j].is_exact_zero:
+        for b0 in range(0, order, step):
+            b1 = min(b0 + step, order)
+            known = [[v[j] for v in coeffs[:b0]] for j in range(m)]
+            history = [block_history(p, [(known[j], row[j].coeffs) for j in range(m)],
+                                     b0, b1 - 1) for row in self.matrix.entries]
+            for s in range(b0, b1):
+                acc = [h[s - b0] for h in history]
+                for d, triples in by_degree.items():
+                    if d > s - b0:
                         continue
-                    acc[i] = acc[i] + c * prev[j]
-            inv = PadicNumber.from_int(s + 1, p)
-            coeffs.append([-(a / inv) for a in acc])
+                    prev = coeffs[s - d]
+                    for i, j, c in triples:
+                        if prev[j].is_exact_zero:
+                            continue
+                        acc[i] = acc[i] + c * prev[j]
+                inv = PadicNumber.from_int(s + 1, p)
+                coeffs.append([-(a / inv) for a in acc])
         return [TruncatedSeries(p, [coeffs[s][i] for s in range(order + 1)])
                 for i in range(m)]
 

@@ -22,13 +22,31 @@ pair instead when one of those sums is demoted, or when the operands'
 valuations spread so far that the packed ints would be mostly zeros.
 Products of exact series always are, since an exact value's precision
 shadow N depends on the order of its additions.
+
+Division, horizontal sections and regular solves are online recursions:
+output n needs the outputs before it, each paired with a known operator
+coefficient (the divisor at degrees >= 1, the connection matrix, the
+frame at degrees >= 1).  They run in blocks of BLOCK outputs.  The pairs
+whose earlier output lies before a block are one packed product per
+operator entry, its history (block_history); only the pairs inside the
+block are summed one by one.  Blocks apply only when some coefficient of
+the operator is capped or an inexact zero and none is exact and nonzero.
+Then every pair has a non-exact factor, each sum is the true sum mod
+p**A_k however the pairs are grouped, and no exact partial sum can be
+demoted.  Any other recursion runs as one block, in the order of its
+pairs, since its exact sums carry order-dependent shadows.  Blocking
+keeps the same pairs, so every v, unit and N is the pairwise loop's;
+Newton iteration would be faster asymptotically but would change the
+precision of the coefficients the reports print.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from operator import add
 
 from padiff.padic import DEFAULT_PRECISION, PadicNumber, PrecisionError, vp_int
@@ -284,7 +302,9 @@ class TruncatedSeries:
         The divisor's order of vanishing k must be determinate and the
         first k coefficients here must not be determinately nonzero.
         Undetermined small coefficients below k are dropped; the drop is
-        within their stated precision.
+        within their stated precision.  The quotient is the recursion
+        q_n = (a_n - sum_j b_(n-j) q_j) / b_0, in blocks when the divisor's
+        coefficients past b_0 allow (see block_length).
         """
         k = other.t_order()
         for i in range(min(k, self.order + 1)):
@@ -307,15 +327,19 @@ class TruncatedSeries:
         elif w is not None and order > w:
             raise ValueError("requested order exceeds the known window")
         d0 = den.coeffs[0]
+        step = block_length(den.coeffs[1:], order + 1)
         out: list[PadicNumber] = []
-        for n in range(order + 1):
-            acc = num.coefficient(n)
-            for j in range(max(n - den.order, 0), n):
-                b = den.coeffs[n - j]
-                if b.is_exact_zero or out[j].is_exact_zero:
-                    continue
-                acc = acc - b * out[j]
-            out.append(acc / d0)
+        for b0 in range(0, order + 1, step):
+            b1 = min(b0 + step, order + 1)
+            history = block_history(self.p, [(out, den.coeffs)], b0, b1 - 1)
+            for n in range(b0, b1):
+                acc = num.coefficient(n) - history[n - b0]
+                for j in range(max(n - den.order, b0), n):
+                    b = den.coeffs[n - j]
+                    if b.is_exact_zero or out[j].is_exact_zero:
+                        continue
+                    acc = acc - b * out[j]
+                out.append(acc / d0)
         return TruncatedSeries(self.p, out, False)
 
     # ------------------------------------------------------------------
@@ -425,14 +449,18 @@ class TruncatedSeries:
 # ----------------------------------------------------------------------
 # product kernels
 
+# outputs per block of an online recursion whose operator allows blocks
+BLOCK = 32
+
 # digits a packed slot may span beyond twice the largest relative
 # precision among the operands before a product takes the pairwise loop
 _SLOT_SLACK = 64
 
 
 def _product_loop(p: int, a: list[PadicNumber], b: list[PadicNumber], hi: int,
-                  exact_only: bool) -> list[PadicNumber]:
-    """Coefficients 0..hi of a*b, summed pair by pair in index order.
+                  exact_only: bool, lo: int = 0) -> list[PadicNumber]:
+    """Coefficients lo..hi of a*b, summed pair by pair in index order;
+    those below lo are left at the exact zero.
 
     With exact_only, only pairs of exact nonzero coefficients are summed.
     """
@@ -442,10 +470,11 @@ def _product_loop(p: int, a: list[PadicNumber], b: list[PadicNumber], hi: int,
     else:
         xs = [(i, x) for i, x in enumerate(a) if not x.is_exact_zero]
         ys = [(j, y) for j, y in enumerate(b) if not y.is_exact_zero]
+    js = [j for j, _ in ys]
     out = [PadicNumber.exact_zero(p)] * (hi + 1)
     for i, x in xs:
         jmax = hi - i
-        for j, y in ys:
+        for j, y in islice(ys, bisect_left(js, lo - i), None):
             if j > jmax:
                 break
             out[i + j] = out[i + j] + x * y
@@ -453,8 +482,9 @@ def _product_loop(p: int, a: list[PadicNumber], b: list[PadicNumber], hi: int,
 
 
 def _packed_product(p: int, a: list[PadicNumber], b: list[PadicNumber],
-                    hi: int) -> list[PadicNumber] | None:
-    """Coefficients 0..hi of a*b by one big-int multiply (Kronecker).
+                    hi: int, lo: int = 0) -> list[PadicNumber] | None:
+    """Coefficients lo..hi of a*b by one big-int multiply (Kronecker);
+    those below lo are left at the exact zero.
 
     A coefficient that some pair with a non-exact factor reaches is known
     to the absolute precision A_k, the min over those pairs of
@@ -466,7 +496,7 @@ def _packed_product(p: int, a: list[PadicNumber], b: list[PadicNumber],
     demoted value carries a finite precision of its own into A_k, and when
     a slot would span far more digits than any coefficient knows.
     """
-    prec = _precision(a, b, hi)
+    prec = _precision(a, b, hi, lo)
     live = [k for k, e in enumerate(prec) if e != math.inf]
     va = min((c.v for c in a if c.u), default=None)
     vb = min((c.v for c in b if c.u), default=None)
@@ -477,7 +507,7 @@ def _packed_product(p: int, a: list[PadicNumber], b: list[PadicNumber],
     # and the pairwise loop is far cheaper
     if K > 2 * max(c.N for c in a + b if c.exact is None) + _SLOT_SLACK:
         return None
-    out = _product_loop(p, a, b, hi, True)
+    out = _product_loop(p, a, b, hi, True, lo)
     if any(c.exact is None for c in out):
         return None
     if K <= 0:
@@ -506,9 +536,10 @@ def _packed_product(p: int, a: list[PadicNumber], b: list[PadicNumber],
     return out
 
 
-def _precision(a: list[PadicNumber], b: list[PadicNumber], hi: int) -> list:
-    """A_k for k = 0..hi, by two min-plus convolutions: abs_a (+) v_b and
-    v_a (+) abs_b.
+def _precision(a: list[PadicNumber], b: list[PadicNumber], hi: int,
+               lo: int = 0) -> list:
+    """A_k for k = lo..hi, by two min-plus convolutions: abs_a (+) v_b and
+    v_a (+) abs_b; the list is indexed by k, math.inf below lo.
 
     abs is infinite on exact coefficients and v on exact zeros, so exact
     pairs and pairs with an exact-zero factor drop out; A_k is math.inf
@@ -519,13 +550,13 @@ def _precision(a: list[PadicNumber], b: list[PadicNumber], hi: int) -> list:
     abs_b = [c.v + c.N if c.exact is None else math.inf for c in b]
     v_b = [math.inf if c.is_exact_zero else c.v for c in b]
     la, lb = len(a), len(b)
-    out = []
-    for k in range(hi + 1):
-        # pairs (k - j, j) for j in lo..top-1, read off the reversed a
-        lo, top = max(0, k - la + 1), min(k, lb - 1) + 1
+    out = [math.inf] * lo
+    for k in range(lo, hi + 1):
+        # pairs (k - j, j) for j in j0..top-1, read off the reversed a
+        j0, top = max(0, k - la + 1), min(k, lb - 1) + 1
         o = la - 1 - k
-        out.append(min(min(map(add, abs_a[o + lo:o + top], v_b[lo:top])),
-                       min(map(add, v_a[o + lo:o + top], abs_b[lo:top]))))
+        out.append(min(min(map(add, abs_a[o + j0:o + top], v_b[j0:top]), default=math.inf),
+                       min(map(add, v_a[o + j0:o + top], abs_b[j0:top]), default=math.inf)))
     return out
 
 
@@ -556,3 +587,42 @@ def _digits(p: int, coeffs: list[PadicNumber], base: int, K: int,
 def _pack(digits: list[int], width: int) -> int:
     return int.from_bytes(b"".join(r.to_bytes(width, "little") for r in digits),
                           "little")
+
+
+def block_length(operator: list[PadicNumber], n: int) -> int:
+    """Outputs per block of an online recursion with n outputs whose known
+    operator has these coefficients.
+
+    BLOCK when some coefficient is capped or an inexact zero and none is
+    exact and nonzero: every pair then has a non-exact factor, and its
+    sums do not depend on how the pairs are grouped.  Otherwise n, one
+    block, whose pairs are summed in the recursion's own order.
+    """
+    if (any(c.exact is None for c in operator)
+            and not any(c.u and c.exact is not None for c in operator)):
+        return BLOCK
+    return max(n, 1)
+
+
+def block_history(p: int, terms, lo: int, hi: int) -> list[PadicNumber]:
+    """For k = lo..hi, the sum over terms (known, op) of known[j] * op[k - j]
+    over j < lo, where known holds the lo outputs before the block.
+
+    These are the pairs of a block lo..hi of an online recursion whose
+    earlier output lies before the block; op is indexed by degree, and
+    only degrees >= 1 reach the block.  Each term is one packed product,
+    or the pairwise loop when its valuations spread too far to pack.
+    Before the first block there is nothing: exact zeros.
+    """
+    out = [PadicNumber.exact_zero(p)] * (hi - lo + 1)
+    if not lo:
+        return out
+    for known, op in terms:
+        b = op[1:hi + 1]
+        if all(c.is_exact_zero for c in b):
+            continue
+        sums = _packed_product(p, known, b, hi - 1, lo - 1)
+        if sums is None:
+            sums = _product_loop(p, known, b, hi - 1, False, lo - 1)
+        out = [x + y for x, y in zip(out, sums[lo - 1:])]
+    return out

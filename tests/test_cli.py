@@ -337,6 +337,22 @@ def test_cli_order_and_iterates_are_bounded(monkeypatch, capsys, argv):
     assert "must be in 1..%d" % MAX_ORDER in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-5", "-0.5", "x"])
+def test_cli_tolerance_growth_must_be_finite_and_nonnegative(monkeypatch, capsys, value):
+    # a NaN bound fails both d <= bound and d > bound, so verify-conjecture
+    # printed FAIL beside "dwork: PASS"; an infinite bound passes every section
+    _forbid_solves(monkeypatch)
+    assert run("verify-conjecture", "trivial2_p5", "--order", "60", "--iterates", "20",
+               "--tolerance-growth=" + value) == 3
+    assert "--tolerance-growth" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value,want", [("0", 0.0), ("0.5", 0.5), ("1e-3", 0.001)])
+def test_cli_tolerance_growth_accepts_finite_nonnegative(value, want):
+    args = cli._build_parser().parse_args(["corpus", "--tolerance-growth", value])
+    assert cli._config(args).growth_tolerance == want
+
+
 def test_every_config_field_is_set_by_a_flag():
     # a WorkbenchConfig field that no flag reaches fails here; no solve runs
     args = cli._build_parser().parse_args([

@@ -30,6 +30,12 @@ from padiff.cli import main
 SRC = Path(padiff.__file__).parent
 TESTS = Path(__file__).parent
 
+# the sources parsed once, at import, next to the import of padiff itself:
+# the reachability pass matches definitions by line number against the
+# code that runs, so a file edited later in the session must not count
+TREES = {path.name: ast.parse(path.read_text(), filename=str(path))
+         for path in sorted(SRC.glob("*.py"))}
+
 # test helper -> a test that uses it to check production code
 ORACLES = {
     "factorial_valuation": "test_padic.py::test_factorial_valuation_against_direct_product",
@@ -67,13 +73,12 @@ def _definitions():
     """(qualified name, file name, node) of every top-level function,
     class and method in src/padiff, dunders left out."""
     out = []
-    for path in sorted(SRC.glob("*.py")):
-        tree = ast.parse(path.read_text(), filename=str(path))
+    for fname, tree in TREES.items():
         for node in tree.body:
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                out.append((node.name, path.name, node))
+                out.append((node.name, fname, node))
             if isinstance(node, ast.ClassDef):
-                out += [("%s.%s" % (node.name, sub.name), path.name, sub)
+                out += [("%s.%s" % (node.name, sub.name), fname, sub)
                         for sub in node.body
                         if isinstance(sub, (ast.FunctionDef, ast.AsyncFunctionDef))]
     return [(q, f, n) for q, f, n in out
@@ -82,8 +87,8 @@ def _definitions():
 
 def _unreferenced() -> list[str]:
     uses = Counter()
-    for path in sorted(SRC.glob("*.py")):
-        uses += _names(ast.parse(path.read_text(), filename=str(path)))
+    for tree in TREES.values():
+        uses += _names(tree)
     dead = []
     for qual, _, node in _definitions():
         if uses[node.name] - _names(node)[node.name] <= 0:
@@ -126,7 +131,7 @@ def _unreached() -> frozenset:
             ["radii", capped, "--rho-grid", "4,8", "--rho", "p^-1/4"],
             ["fprofile", capped, "--csv", str(Path(tmp) / "f.csv"),
              "--svg", str(Path(tmp) / "f.svg")],
-            ["construct-l", capped], ["verify-dwork", capped],
+            ["construct-l", capped], ["verify-dwork", capped, "--tolerance-growth", "0.1"],
             ["verify-conjecture", capped],
             ["verify-conjecture", str(SRC / "descriptions" / "ex44.json")],
             ["corpus", "--only", "sum_exp_cancel_p5"],

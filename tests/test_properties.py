@@ -1,22 +1,26 @@
 """Randomized law checks over the arithmetic and estimator layers.
 
-Every suite runs a thousand derandomized Hypothesis cases, so a run is
+Every suite runs a thousand derandomized Hypothesis cases (the
+blocked-recursion suites, at orders up to 101, a hundred), so a run is
 reproducible bit for bit.  The laws are chosen so that each has an exact
 finite check: norms and radii are rational exponents, sections and Smith
 factors carry exact coefficients, and residuals must vanish on the whole
 known window rather than merely get small.
 """
 
+import sys
 from fractions import Fraction
 from itertools import combinations
 
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
+from padiff import corpus
 from padiff import series as series_module
 from padiff.config import WorkbenchConfig
 from padiff.diffmod import DifferentialModule
-from padiff.linalg import SeriesMatrix, invert_regular, kernel_basis, smith_normal_form
+from padiff.linalg import (SeriesMatrix, field_solve, invert_regular, kernel_basis,
+                           smith_normal_form, solve_regular)
 from padiff.padic import PadicNumber
 from padiff.radii import RadiusWorkbench, omega_exponent
 from padiff.series import GaussNorm, TruncatedSeries
@@ -453,3 +457,253 @@ def test_exact_times_capped_claims_only_true_digits(p, a, n_exact, v, u, n_cappe
     for got, want in ((x * y, a * b), (y * x, a * b), (x / y, a / b), (y / x, b / a)):
         assert got.N == y.N
         assert got.agrees(padic(want, p)), (got, want)
+
+
+# ----------------------------------------------------------------------
+# blocked recursions against their pairwise loops
+#
+# divide, solve_horizontal and solve_regular sum the pairs whose earlier
+# output lies before a block of series.BLOCK outputs as packed products.
+# Each reference below is the pairwise loop they replaced; the results
+# must be ==, coefficient by coefficient, at orders on both sides of one,
+# two and three blocks.  The recursions run to order 101, so these suites
+# run a hundred cases each rather than a thousand.
+
+RECURSION_SUITE = settings(SUITE, max_examples=100)
+B = series_module.BLOCK
+RECURSION_ORDERS = st.sampled_from((B - 1, B, B + 1, 2 * B + 1, 3 * B + 5))
+
+
+def ref_divide(f: TruncatedSeries, g: TruncatedSeries, order: int) -> TruncatedSeries:
+    # the recursion of TruncatedSeries.divide, for g(0) determinate
+    d0 = g.coeffs[0]
+    out = []
+    for n in range(order + 1):
+        acc = f.coefficient(n)
+        for j in range(max(n - g.order, 0), n):
+            b = g.coeffs[n - j]
+            if b.is_exact_zero or out[j].is_exact_zero:
+                continue
+            acc = acc - b * out[j]
+        out.append(acc / d0)
+    return TruncatedSeries(f.p, out, False)
+
+
+def ref_solve_horizontal(mod: DifferentialModule, start, order: int):
+    p, m = mod.p, mod.rank
+    by_degree = mod._sparse_coefficients(order)
+    zero = PadicNumber.exact_zero(p)
+    coeffs = [list(start)]
+    for s in range(order):
+        acc = [zero] * m
+        for d, triples in by_degree.items():
+            if d > s:
+                continue
+            prev = coeffs[s - d]
+            for i, j, c in triples:
+                if prev[j].is_exact_zero:
+                    continue
+                acc[i] = acc[i] + c * prev[j]
+        inv = PadicNumber.from_int(s + 1, p)
+        coeffs.append([-(a / inv) for a in acc])
+    return [TruncatedSeries(p, [coeffs[s][i] for s in range(order + 1)])
+            for i in range(m)]
+
+
+def ref_solve_regular(H: SeriesMatrix, Bm: SeriesMatrix, order: int) -> SeriesMatrix:
+    p = H.p
+    m, n = H.shape
+    k = Bm.shape[1]
+    h_coeffs = [H.coefficient_matrix(d) for d in range(min(order, H.poly_degree()) + 1)]
+    active = [d for d, hd in enumerate(h_coeffs)
+              if any(not c.is_exact_zero for row in hd for c in row)]
+    x_cols = [[] for _ in range(k)]
+    for s in range(order + 1):
+        for j in range(k):
+            rhs = [Bm.entries[i][j].coefficient(s) for i in range(m)]
+            for d in active:
+                if d == 0 or d > s:
+                    continue
+                hd = h_coeffs[d]
+                xprev = x_cols[j][s - d]
+                for i in range(m):
+                    acc = rhs[i]
+                    for l in range(n):
+                        if hd[i][l].is_exact_zero or xprev[l].is_exact_zero:
+                            continue
+                        acc = acc - hd[i][l] * xprev[l]
+                    rhs[i] = acc
+            x_cols[j].append(field_solve(h_coeffs[0], rhs, p))
+    return SeriesMatrix(p, [[TruncatedSeries(p, [x_cols[j][s][l] for s in range(order + 1)])
+                             for j in range(k)] for l in range(n)])
+
+
+def make_op_coeff(p: int, code: int) -> PadicNumber:
+    """A capped value (N 1..60), an inexact zero or an exact zero, by
+    code % 4: the coefficients of an operator that takes blocks."""
+    kind, rest = code % 4, code // 4
+    if kind < 2:
+        rest, v = divmod(rest, 5)
+        u, N = divmod(rest, 60)
+        return PadicNumber.approximate(p, v - 1, u * p + 1 + u % (p - 1), N + 1)
+    if kind == 2:
+        return PadicNumber.inexact_zero(p, rest % 5)
+    return PadicNumber.exact_zero(p)
+
+
+def make_unit(p: int, code: int) -> PadicNumber:
+    """An exact or a capped unit: a determinate constant term."""
+    if code % 2:
+        return PadicNumber.approximate(p, 0, code // 2 * p + 1, 1 + code % 59)
+    return PadicNumber.from_rational(code // 2 * p + 1, 1 + code % 5 * p, p)
+
+
+def codes(n: int):
+    return st.lists(COEFF_CODES, min_size=n, max_size=n)
+
+
+def make_op_series(p: int, draw, order: int, first) -> TruncatedSeries:
+    """An operator entry: first, then operator coefficients to the order,
+    or a polynomial of degree 1 or 3 that the block's pairs outrun."""
+    n = draw(st.sampled_from((1, 3, order)))
+    return TruncatedSeries(p, [first] + [make_op_coeff(p, c) for c in draw(codes(n))],
+                           n < order)
+
+
+@st.composite
+def divide_cases(draw):
+    p, order = draw(PRIMES), draw(RECURSION_ORDERS)
+    f = make_series(p, draw(codes(order + 1)), False)
+    g = make_op_series(p, draw, order, make_unit(p, draw(COEFF_CODES)))
+    return f, g, order
+
+
+@given(divide_cases())
+@RECURSION_SUITE
+def test_blocked_divide_matches_reference(case):
+    f, g, order = case
+    same_outcome(lambda: f.divide(g, order), lambda: ref_divide(f, g, order))
+
+
+@st.composite
+def horizontal_cases(draw):
+    p, order, m = draw(PRIMES), draw(RECURSION_ORDERS), draw(st.sampled_from((1, 2)))
+    rows = [[make_op_series(p, draw, order - 1, make_op_coeff(p, draw(COEFF_CODES)))
+             for _ in range(m)] for _ in range(m)]
+    start = [make_coeff(p, c) for c in draw(codes(m))]
+    return DifferentialModule(SeriesMatrix(p, rows)), start, order
+
+
+@given(horizontal_cases())
+@RECURSION_SUITE
+def test_blocked_solve_horizontal_matches_reference(case):
+    mod, start, order = case
+    same_outcome(lambda: mod.solve_horizontal(start, order),
+                 lambda: ref_solve_horizontal(mod, start, order))
+
+
+@st.composite
+def regular_cases(draw):
+    p, order = draw(PRIMES), draw(RECURSION_ORDERS)
+    m, k = draw(st.sampled_from(((1, 1), (2, 1), (2, 2))))
+    rows = []
+    for i in range(m):
+        row = []
+        for l in range(m):
+            # a unit diagonal at t = 0 keeps H_0 invertible
+            c0 = make_unit(p, draw(COEFF_CODES)) if i == l else make_op_coeff(p, draw(COEFF_CODES))
+            row.append(make_op_series(p, draw, order, c0))
+        rows.append(row)
+    rhs = [[make_series(p, draw(codes(order + 1)), False) for _ in range(k)] for _ in range(m)]
+    return SeriesMatrix(p, rows), SeriesMatrix(p, rhs), order
+
+
+@given(regular_cases())
+@RECURSION_SUITE
+def test_blocked_solve_regular_matches_reference(case):
+    H, Bm, order = case
+    # SeriesMatrix has no ==; its entries do
+    same_outcome(lambda: solve_regular(H, Bm, order).entries,
+                 lambda: ref_solve_regular(H, Bm, order).entries)
+
+
+def record_history_products(monkeypatch) -> list:
+    """Install a recorder of the packed products block_history makes; each
+    records whether it returned None."""
+    packed = series_module._packed_product
+    calls = []
+
+    def recording(*args):
+        out = packed(*args)
+        if sys._getframe(1).f_code.co_name == "block_history":
+            calls.append(out is None)
+        return out
+
+    monkeypatch.setattr(series_module, "_packed_product", recording)
+    return calls
+
+
+def test_blocked_divide_falls_back_when_valuations_spread_far(monkeypatch):
+    # divisor valuations alternating -500 and 500 beside 20 known digits:
+    # a packed slot of the history would span far more digits than any
+    # coefficient knows, so _packed_product declines and the pairs are
+    # summed in _product_loop
+    calls = record_history_products(monkeypatch)
+    p, order = 5, 2 * B + 1
+    g = TruncatedSeries(p, [PadicNumber.from_int(1, p)]
+                        + [PadicNumber.approximate(p, 500 if i % 2 else -500, i + 1, 20)
+                           for i in range(order)], False)
+    f = TruncatedSeries(p, [PadicNumber.approximate(p, 0, i + 1, 30)
+                            for i in range(order + 1)], False)
+    assert f.divide(g, order) == ref_divide(f, g, order)
+    assert True in calls
+
+
+def test_exact_big_operator_coefficient_takes_one_block(monkeypatch):
+    # one exact coefficient of about 3000 bits among capped ones: its
+    # partial sums are exact and may be demoted, so the recursion keeps
+    # its own order and makes no packed product
+    calls = record_history_products(monkeypatch)
+    p, order = 5, 2 * B + 1
+    big = PadicNumber.from_rational(7 ** 1070 + 2, 3 ** 900, p, 5)
+    assert big.exact.numerator.bit_length() > 3000
+    ops = [PadicNumber.approximate(p, i % 3, i + 1, 20) for i in range(order)]
+    ops[3] = big
+    g = TruncatedSeries(p, [PadicNumber.from_int(1, p)] + ops, False)
+    f = TruncatedSeries(p, [PadicNumber.approximate(p, 0, i + 1, 30)
+                            for i in range(order + 1)], False)
+    assert f.divide(g, order) == ref_divide(f, g, order)
+    assert calls == []
+
+
+def run_recursions(mod: DifferentialModule, order: int, calls: list) -> list[int]:
+    """Packed history products made by solve_horizontal, solve_regular and
+    divide on this module's sections, one count per recursion."""
+    p = mod.p
+    one, zero = PadicNumber.from_int(1, p), PadicNumber.exact_zero(p)
+    counts = []
+
+    def counted(fn):
+        mark = len(calls)
+        out = fn()
+        counts.append(len(calls) - mark)
+        return out
+
+    sections = counted(lambda: [
+        mod.solve_horizontal([one if i == j else zero for i in range(mod.rank)], order)
+        for j in range(mod.rank)])
+    frame = SeriesMatrix(p, [[sec[i] for sec in sections] for i in range(mod.rank)])
+    counted(lambda: invert_regular(frame, order))
+    f = sections[0][0]
+    counted(lambda: f.derive().divide(f))
+    return counts
+
+
+def test_recursions_block_only_over_non_exact_operators(monkeypatch):
+    calls = record_history_products(monkeypatch)
+    order = 2 * B + 6
+    for name in ("ex44_p5", "exp_small_p5"):
+        assert run_recursions(corpus.build(name).module, order, calls) == [0, 0, 0], name
+    capped = corpus.hypergeom_half(5, window=order).module
+    assert all(run_recursions(capped, order, calls)), calls
+    assert not any(calls)

@@ -1,0 +1,78 @@
+#!/usr/bin/env python3
+"""Write the padiff CLI's report matrix to OUTDIR.
+
+Usage: PYTHONPATH=<tree>/src python3 scripts/report_matrix.py OUTDIR
+
+Each run is `python -m padiff.cli` with the caller's environment, so the
+PYTHONPATH picks the tree whose reports are written.  The runs:
+
+- the eight module subcommands on ex44_p5, dual_ex44_p5, rank3_n2_p5,
+  exp_small_p5, sum_exp_cancel_p5 and descriptions/ex44.json, at
+  --order 120 --iterates 60;
+- verify-conjecture on the three bundled description files, and on
+  hypergeom_half_p5 at --iterates 64;
+- corpus --jobs 2.
+
+Run NAME leaves NAME.json (its report without the timestamp line),
+NAME.txt (stdout and stderr together) and NAME.code (the exit code);
+fprofile runs also leave NAME.csv and NAME.svg.  The description files
+are read from this script's tree, so that both trees see the same paths.
+`diff -r` of two output directories compares two trees' reports.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+DESCRIPTIONS = Path(__file__).resolve().parents[1] / "src" / "padiff" / "descriptions"
+MODULES = ("ex44_p5", "dual_ex44_p5", "rank3_n2_p5", "exp_small_p5", "sum_exp_cancel_p5",
+           str(DESCRIPTIONS / "ex44.json"))
+SUBCOMMANDS = ("solve", "h0", "growth", "radii", "fprofile", "construct-l", "verify-dwork",
+               "verify-conjecture")
+SMALL = ["--order", "120", "--iterates", "60"]
+
+
+def runs():
+    """(name, argv) of every run."""
+    for module in MODULES:
+        stem = Path(module).stem
+        for sub in SUBCOMMANDS:
+            name = "%s.%s" % (sub, stem)
+            extra = ["--csv", name + ".csv", "--svg", name + ".svg"] if sub == "fprofile" else []
+            yield name, [sub, module] + SMALL + extra
+    for path in sorted(DESCRIPTIONS.glob("*.json")):
+        yield "verify-conjecture.default.%s" % path.stem, ["verify-conjecture", str(path)]
+    yield ("verify-conjecture.hypergeom_half_p5",
+           ["verify-conjecture", "hypergeom_half_p5", "--iterates", "64"])
+    yield "corpus", ["corpus", "--jobs", "2"]
+
+
+def main(argv) -> int:
+    if len(argv) != 1:
+        print(__doc__.split("\n\n")[1], file=sys.stderr)
+        return 3
+    outdir = Path(argv[0])
+    outdir.mkdir(parents=True, exist_ok=True)
+    # the runs start in outdir, so that reports name their files relatively
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        os.path.abspath(p) for p in env.get("PYTHONPATH", "").split(os.pathsep) if p)
+    for name, args in runs():
+        proc = subprocess.run([sys.executable, "-m", "padiff.cli"] + args
+                              + ["--out", name + ".json"],
+                              cwd=outdir, env=env, stdout=subprocess.PIPE,
+                              stderr=subprocess.STDOUT, text=True)
+        (outdir / (name + ".txt")).write_text(proc.stdout)
+        (outdir / (name + ".code")).write_text("%d\n" % proc.returncode)
+        report = outdir / (name + ".json")
+        if report.exists():
+            lines = report.read_text().splitlines(keepends=True)
+            report.write_text("".join(line for line in lines
+                                      if not line.startswith(' "timestamp": ')))
+        print("%-48s exit %d" % (name, proc.returncode))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

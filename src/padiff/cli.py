@@ -41,7 +41,7 @@ from padiff.pipeline import (
     verify_conjecture,
     verify_dwork_bound,
 )
-from padiff.radii import RadiusWorkbench
+from padiff.radii import IterateWindowError, RadiusWorkbench
 
 
 class UsageError(Exception):
@@ -696,7 +696,7 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else 3
     try:
         return _run(args)
-    except (ModfileError, UsageError, OSError) as exc:
+    except (ModfileError, UsageError, OSError, IterateWindowError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 3
 

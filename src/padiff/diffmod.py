@@ -20,7 +20,7 @@ from itertools import combinations
 
 from padiff.linalg import SeriesMatrix, field_kernel
 from padiff.padic import PadicNumber, PrecisionError
-from padiff.series import TruncatedSeries, block_history, block_length
+from padiff.series import TruncatedSeries, _online
 
 CONVERGENT = "convergent"
 DIVERGENT = "divergent"
@@ -169,27 +169,10 @@ class DifferentialModule:
     # ------------------------------------------------------------------
     # horizontal sections
 
-    def _sparse_coefficients(self, upto: int):
-        """Per-degree nonzero entries of A as (degree, i, j, value) triples."""
-        out = []
-        for i, row in enumerate(self.matrix.entries):
-            for j, cell in enumerate(row):
-                top = min(upto, cell.order)
-                for d in range(top + 1):
-                    c = cell.coeffs[d]
-                    if not c.is_exact_zero:
-                        out.append((d, i, j, c))
-        by_degree: dict[int, list] = {}
-        for d, i, j, c in out:
-            by_degree.setdefault(d, []).append((i, j, c))
-        return by_degree
-
     def solve_horizontal(self, start: list[PadicNumber],
                          order: int) -> list[TruncatedSeries]:
-        """The unique local solution of v' = -A v with v(0) = start.
-
-        The coefficients come from (s+1) v_(s+1) = -sum_d A_d v_(s-d), in
-        blocks when A's coefficients allow (see series.block_length).
+        """The unique local solution of v' = -A v with v(0) = start:
+        (s+1) v_(s+1) = -sum_d A_d v_(s-d) (see series._online).
         """
         m = self.rank
         if len(start) != m:
@@ -199,29 +182,22 @@ class DifferentialModule:
             raise ValueError("order %d exceeds what the matrix window %d supports"
                              % (order, w))
         p = self.p
-        by_degree = self._sparse_coefficients(order)
-        step = block_length([c for triples in by_degree.values() for _, _, c in triples],
-                            order)
-        coeffs = [list(start)]
-        for b0 in range(0, order, step):
-            b1 = min(b0 + step, order)
-            known = [[v[j] for v in coeffs[:b0]] for j in range(m)]
-            history = [block_history(p, [(known[j], row[j].coeffs) for j in range(m)],
-                                     b0, b1 - 1) for row in self.matrix.entries]
-            for s in range(b0, b1):
-                acc = [h[s - b0] for h in history]
-                for d, triples in by_degree.items():
-                    if d > s - b0:
-                        continue
-                    prev = coeffs[s - d]
-                    for i, j, c in triples:
-                        if prev[j].is_exact_zero:
-                            continue
-                        acc[i] = acc[i] + c * prev[j]
-                inv = PadicNumber.from_int(s + 1, p)
-                coeffs.append([-(a / inv) for a in acc])
-        return [TruncatedSeries(p, [coeffs[s][i] for s in range(order + 1)])
-                for i in range(m)]
+        rows = self.matrix.entries
+        # each row's pairs by degree, in the order the degrees first appear
+        # in A row by row, then by column; output s pairs A_d with s - 1 - d
+        degrees = dict.fromkeys(d for row in rows for cell in row
+                                for d in range(min(order, cell.order) + 1)
+                                if not cell.coeffs[d].is_exact_zero)
+        ops = [[(d + 1, j, cell.coeffs[d]) for d in degrees
+                for j, cell in enumerate(row) if d <= cell.order] for row in rows]
+        zero = PadicNumber.exact_zero(p)
+
+        def finish(s, r):
+            inv = PadicNumber.from_int(s, p)
+            return [a / inv for a in r]
+
+        coeffs = _online(p, ops, lambda s, i: zero, finish, [list(start)], order + 1)
+        return [TruncatedSeries(p, [x[i] for x in coeffs]) for i in range(m)]
 
     # ------------------------------------------------------------------
     # H^0 and growth classification

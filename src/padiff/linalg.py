@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from padiff.padic import DEFAULT_PRECISION, PadicNumber, PrecisionError
-from padiff.series import TruncatedSeries, block_history, block_length
+from padiff.series import TruncatedSeries, _online
 
 
 class NoSolutionError(Exception):
@@ -245,9 +245,6 @@ class SeriesMatrix:
         windows = [c.order for row in self.entries for c in row if not c.tail_exact]
         return min(windows) if windows else None
 
-    def poly_degree(self) -> int:
-        return max(c.order for row in self.entries for c in row)
-
     def __repr__(self):
         m, n = self.shape
         return "<SeriesMatrix %dx%d over Q_%d[[t]]>" % (m, n, self.p)
@@ -438,8 +435,8 @@ def solve_regular(H: SeriesMatrix, B: SeriesMatrix, order: int) -> SeriesMatrix:
     every coefficient of X uniquely; an inconsistent order raises
     NoSolutionError.  This is the cheap path for solving against a frame
     of horizontal sections, whose values at t = 0 are independent.  Each
-    X_s solves H_0 X_s = B_s - sum_(d >= 1) H_d X_(s-d), in blocks when
-    the H_d allow (see series.block_length).
+    column of X solves H_0 X_s = B_s - sum_(d >= 1) H_d X_(s-d) (see
+    series._online).
     """
     p = H.p
     m, n = H.shape
@@ -451,40 +448,15 @@ def solve_regular(H: SeriesMatrix, B: SeriesMatrix, order: int) -> SeriesMatrix:
     for w in (hw, bw):
         if w is not None and order > w:
             raise ValueError("requested order exceeds the known window")
-    h_coeffs = [H.coefficient_matrix(d) for d in range(min(order, H.poly_degree()) + 1)]
-    active = [d for d, hd in enumerate(h_coeffs)
-              if any(not c.is_exact_zero for row in hd for c in row)]
-    # H's entries by degree, and the rule on its degrees >= 1
-    ops = [[[hd[i][l] for hd in h_coeffs] for l in range(n)] for i in range(m)]
-    step = block_length([c for hd in h_coeffs[1:] for row in hd for c in row], order + 1)
-    x_cols: list[list[list[PadicNumber]]] = [[] for _ in range(k)]
-    for b0 in range(0, order + 1, step):
-        b1 = min(b0 + step, order + 1)
-        history = []
-        for j in range(k):
-            known = [[x[l] for x in x_cols[j]] for l in range(n)]
-            history.append([block_history(p, list(zip(known, row)), b0, b1 - 1)
-                            for row in ops])
-        for s in range(b0, b1):
-            for j in range(k):
-                rhs = [B.entries[i][j].coefficient(s) - history[j][i][s - b0]
-                       for i in range(m)]
-                for d in active:
-                    if d == 0 or d > s - b0:
-                        continue
-                    hd = h_coeffs[d]
-                    xprev = x_cols[j][s - d]
-                    for i in range(m):
-                        acc = rhs[i]
-                        for l in range(n):
-                            if hd[i][l].is_exact_zero or xprev[l].is_exact_zero:
-                                continue
-                            acc = acc - hd[i][l] * xprev[l]
-                        rhs[i] = acc
-                x_cols[j].append(field_solve(h_coeffs[0], rhs, p))
-    entries = [[TruncatedSeries(p, [x_cols[j][s][l] for s in range(order + 1)])
-                for j in range(k)] for l in range(n)]
-    return SeriesMatrix(p, entries)
+    h0 = H.coefficient_matrix(0)
+    # each row's pairs by degree ascending, then by column
+    ops = [[(d, l, cell.coeffs[d]) for d in range(1, order + 1)
+            for l, cell in enumerate(row) if d <= cell.order] for row in H.entries]
+    cols = [_online(p, ops, lambda s, i: B.entries[i][j].coefficient(s),
+                    lambda s, r: field_solve(h0, r, p), [], order + 1)
+            for j in range(k)]
+    return SeriesMatrix(p, [[TruncatedSeries(p, [x[l] for x in cols[j]]) for j in range(k)]
+                            for l in range(n)])
 
 
 def invert_regular(H: SeriesMatrix, order: int) -> SeriesMatrix:

@@ -94,6 +94,10 @@ class FProfile:
     nondecreasing: bool
 
 
+class IterateWindowError(ValueError):
+    """The matrix's coefficient window is too short for the iterate count."""
+
+
 class PowerIterates:
     """Taylor iterates of the horizontal frame of one module."""
 
@@ -107,7 +111,7 @@ class PowerIterates:
         if mat_window is not None:
             window = min(mat_window - count, _AUTO_ITERATE_WINDOW)
             if window < _MIN_ITERATE_WINDOW:
-                raise ValueError(
+                raise IterateWindowError(
                     "matrix window %d cannot support %d iterates" % (mat_window, count))
         self.window = window
         mats = [SeriesMatrix.identity(p, module.rank)]

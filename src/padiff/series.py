@@ -23,21 +23,22 @@ valuations spread so far that the packed ints would be mostly zeros.
 Products of exact series always are, since an exact value's precision
 shadow N depends on the order of its additions.
 
-Division, horizontal sections and regular solves are online recursions:
-output n needs the outputs before it, each paired with a known operator
-coefficient (the divisor at degrees >= 1, the connection matrix, the
-frame at degrees >= 1).  They run in blocks of BLOCK outputs.  The pairs
-whose earlier output lies before a block are one packed product per
-operator entry, its history (block_history); only the pairs inside the
-block are summed one by one.  Blocks apply only when some coefficient of
-the operator is capped or an inexact zero and none is exact and nonzero.
-Then every pair has a non-exact factor, each sum is the true sum mod
-p**A_k however the pairs are grouped, and no exact partial sum can be
-demoted.  Any other recursion runs as one block, in the order of its
-pairs, since its exact sums carry order-dependent shadows.  Blocking
-keeps the same pairs, so every v, unit and N is the pairwise loop's;
-Newton iteration would be faster asymptotically but would change the
-precision of the coefficients the reports print.
+Division, horizontal sections and regular solves are online recursions,
+all run by one driver, _online: output s is a finishing step applied to
+a right-hand side minus c * x_(s-d)[l] over the operator's triples
+(d >= 1, l, c).  Each caller keeps only its triples, its right-hand side
+and its finishing step.  The driver runs in blocks of BLOCK outputs when
+some operator coefficient is capped or an inexact zero and none is exact
+and nonzero.  A block's history, the pairs whose earlier output lies
+before it, is one packed product per operator entry; only in-block pairs
+are summed one by one.  Every pair then has a non-exact factor, so each
+sum is the true sum mod p**A_k however the pairs are grouped, and no
+exact partial sum can be demoted.  Any other recursion is one block,
+whose pairs are subtracted in the order the caller lists them: that
+order is data, since an exact sum's shadow N depends on the order of its
+additions.  Blocking keeps the same pairs, so every v, unit and N is the
+pairwise loop's; Newton iteration would be faster asymptotically but
+would change the precision of the coefficients the reports print.
 """
 
 from __future__ import annotations
@@ -303,8 +304,7 @@ class TruncatedSeries:
         first k coefficients here must not be determinately nonzero.
         Undetermined small coefficients below k are dropped; the drop is
         within their stated precision.  The quotient is the recursion
-        q_n = (a_n - sum_j b_(n-j) q_j) / b_0, in blocks when the divisor's
-        coefficients past b_0 allow (see block_length).
+        q_n = (a_n - sum_(d >= 1) b_d q_(n-d)) / b_0 (see _online).
         """
         k = other.t_order()
         for i in range(min(k, self.order + 1)):
@@ -327,20 +327,11 @@ class TruncatedSeries:
         elif w is not None and order > w:
             raise ValueError("requested order exceeds the known window")
         d0 = den.coeffs[0]
-        step = block_length(den.coeffs[1:], order + 1)
-        out: list[PadicNumber] = []
-        for b0 in range(0, order + 1, step):
-            b1 = min(b0 + step, order + 1)
-            history = block_history(self.p, [(out, den.coeffs)], b0, b1 - 1)
-            for n in range(b0, b1):
-                acc = num.coefficient(n) - history[n - b0]
-                for j in range(max(n - den.order, b0), n):
-                    b = den.coeffs[n - j]
-                    if b.is_exact_zero or out[j].is_exact_zero:
-                        continue
-                    acc = acc - b * out[j]
-                out.append(acc / d0)
-        return TruncatedSeries(self.p, out, False)
+        # earliest output first: the divisor's degrees descending
+        ops = [[(d, 0, den.coeffs[d]) for d in range(min(order, den.order), 0, -1)]]
+        out = _online(self.p, ops, lambda s, i: num.coefficient(s),
+                      lambda s, r: [r[0] / d0], [], order + 1)
+        return TruncatedSeries(self.p, [x[0] for x in out], False)
 
     # ------------------------------------------------------------------
     # norms and growth
@@ -589,40 +580,49 @@ def _pack(digits: list[int], width: int) -> int:
                           "little")
 
 
-def block_length(operator: list[PadicNumber], n: int) -> int:
-    """Outputs per block of an online recursion with n outputs whose known
-    operator has these coefficients.
+def _online(p: int, ops, rhs, finish, out: list, count: int) -> list:
+    """Extend out, the output vectors known so far, to count outputs of an
+    online recursion, and return it.
 
-    BLOCK when some coefficient is capped or an inexact zero and none is
-    exact and nonzero: every pair then has a non-exact factor, and its
-    sums do not depend on how the pairs are grouped.  Otherwise n, one
-    block, whose pairs are summed in the recursion's own order.
+    Output s is finish(s, r), where r_i = rhs(s, i) minus c * x_(s-d)[l]
+    for each triple (d >= 1, l, c) of ops[i] with d <= s, subtracted in
+    the order ops[i] lists them.  The outputs run in blocks of BLOCK when
+    some coefficient of ops is capped or an inexact zero and none is exact
+    and nonzero, else in one block.  A block's history, the pairs whose
+    earlier output lies before it, is one packed product per operator
+    entry (i, l), or the pairwise loop when that declines.
     """
-    if (any(c.exact is None for c in operator)
-            and not any(c.u and c.exact is not None for c in operator)):
-        return BLOCK
-    return max(n, 1)
-
-
-def block_history(p: int, terms, lo: int, hi: int) -> list[PadicNumber]:
-    """For k = lo..hi, the sum over terms (known, op) of known[j] * op[k - j]
-    over j < lo, where known holds the lo outputs before the block.
-
-    These are the pairs of a block lo..hi of an online recursion whose
-    earlier output lies before the block; op is indexed by degree, and
-    only degrees >= 1 reach the block.  Each term is one packed product,
-    or the pairwise loop when its valuations spread too far to pack.
-    Before the first block there is nothing: exact zeros.
-    """
-    out = [PadicNumber.exact_zero(p)] * (hi - lo + 1)
-    if not lo:
-        return out
-    for known, op in terms:
-        b = op[1:hi + 1]
-        if all(c.is_exact_zero for c in b):
-            continue
-        sums = _packed_product(p, known, b, hi - 1, lo - 1)
-        if sums is None:
-            sums = _product_loop(p, known, b, hi - 1, False, lo - 1)
-        out = [x + y for x, y in zip(out, sums[lo - 1:])]
+    ops = [[t for t in triples if not t[2].is_exact_zero] for triples in ops]
+    coeffs = [c for triples in ops for _, _, c in triples]
+    step = BLOCK if coeffs and all(c.exact is None for c in coeffs) else max(count, 1)
+    # only a delay below step can pair two outputs of one block
+    near = [[t for t in triples if t[0] < step] for triples in ops]
+    zero = PadicNumber.exact_zero(p)
+    for b0 in range(0, count, step):
+        b1 = min(b0 + step, count)
+        history = [[zero] * (b1 - b0) for _ in ops]
+        if b0:
+            known = [list(col) for col in zip(*out[:b0])]
+            for i, triples in enumerate(ops):
+                # entry (i, l) indexed by d - 1, to the last d that reaches the block
+                entries: dict[int, list[PadicNumber]] = {}
+                for d, l, c in triples:
+                    if d < b1:
+                        entries.setdefault(l, [zero] * (b1 - 1))[d - 1] = c
+                for l, op in entries.items():
+                    sums = (_packed_product(p, known[l], op, b1 - 2, b0 - 1)
+                            or _product_loop(p, known[l], op, b1 - 2, False, b0 - 1))
+                    history[i] = [x + y for x, y in zip(history[i], sums[b0 - 1:])]
+        for s in range(max(b0, len(out)), b1):
+            r = []
+            for i, triples in enumerate(near):
+                acc = rhs(s, i) - history[i][s - b0]
+                for d, l, c in triples:
+                    if s - d < b0:
+                        continue
+                    x = out[s - d][l]
+                    if not x.is_exact_zero:
+                        acc = acc - c * x
+                r.append(acc)
+            out.append(finish(s, r))
     return out

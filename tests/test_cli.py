@@ -23,6 +23,7 @@ from padiff.config import WorkbenchConfig
 from padiff.modfile import (MAX_COEFFS, MAX_DEGREE, MAX_ORDER, MAX_RANK,
                             ModfileError, _is_prime, module_from_json,
                             parse_module, parse_polynomial)
+from test_dead_code import CAPPED_MODULE
 
 DESCRIPTIONS = Path(padiff.__file__).parent / "descriptions"
 
@@ -351,6 +352,32 @@ def test_cli_tolerance_growth_must_be_finite_and_nonnegative(monkeypatch, capsys
 def test_cli_tolerance_growth_accepts_finite_nonnegative(value, want):
     args = cli._build_parser().parse_args(["corpus", "--tolerance-growth", value])
     assert cli._config(args).growth_tolerance == want
+
+
+# CAPPED_MODULE is known on a 100-coefficient window (matrix window 99);
+# the iterates keep 32 coefficients of window past their count, so it
+# supports at most 67 of them
+@pytest.mark.parametrize("argv,count", [
+    (["radii"], 200), (["fprofile"], 200), (["verify-conjecture"], 200),
+    (["radii", "--iterates", "68"], 68),
+])
+def test_cli_window_too_short_for_iterates_exits_3(tmp_path, capsys, argv, count):
+    # bad input, not a FAIL verdict (exit 1)
+    path = tmp_path / "short.json"
+    path.write_text(json.dumps(CAPPED_MODULE))
+    assert run(argv[0], str(path), *argv[1:]) == 3
+    assert capsys.readouterr().err.splitlines() == [
+        "error: matrix window 99 cannot support %d iterates" % count]
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve"], ["h0"], ["growth"], ["verify-dwork"], ["construct-l"],
+    ["radii", "--iterates", "67"],
+])
+def test_cli_short_window_runs_what_it_supports(tmp_path, argv):
+    path = tmp_path / "short.json"
+    path.write_text(json.dumps(CAPPED_MODULE))
+    assert run(argv[0], str(path), *argv[1:]) == 0
 
 
 def test_every_config_field_is_set_by_a_flag():

@@ -1,11 +1,12 @@
 """Randomized law checks over the arithmetic and estimator layers.
 
 Every suite runs a thousand derandomized Hypothesis cases (the
-blocked-recursion suites, at orders up to 101, a hundred), so a run is
-reproducible bit for bit.  The laws are chosen so that each has an exact
-finite check: norms and radii are rational exponents, sections and Smith
-factors carry exact coefficients, and residuals must vanish on the whole
-known window rather than merely get small.
+blocked-recursion suites, at orders up to 101, a hundred, and the
+one-block suites three hundred), so a run is reproducible bit for bit.
+The laws are chosen so that each has an exact finite check: norms and
+radii are rational exponents, sections and Smith factors carry exact
+coefficients, and residuals must vanish on the whole known window rather
+than merely get small.
 """
 
 import sys
@@ -464,12 +465,13 @@ def test_exact_times_capped_claims_only_true_digits(p, a, n_exact, v, u, n_cappe
 #
 # divide, solve_horizontal and solve_regular sum the pairs whose earlier
 # output lies before a block of series.BLOCK outputs as packed products.
-# Each reference below is the pairwise loop they replaced; the results
+# Each reference below is the recursion's own pairwise loop; the results
 # must be ==, coefficient by coefficient, at orders on both sides of one,
 # two and three blocks.  The recursions run to order 101, so these suites
 # run a hundred cases each rather than a thousand.
 
 RECURSION_SUITE = settings(SUITE, max_examples=100)
+ONE_BLOCK_SUITE = settings(SUITE, max_examples=300)
 B = series_module.BLOCK
 RECURSION_ORDERS = st.sampled_from((B - 1, B, B + 1, 2 * B + 1, 3 * B + 5))
 
@@ -489,9 +491,22 @@ def ref_divide(f: TruncatedSeries, g: TruncatedSeries, order: int) -> TruncatedS
     return TruncatedSeries(f.p, out, False)
 
 
+def ref_sparse_coefficients(mod: DifferentialModule, upto: int) -> dict:
+    """Per-degree nonzero entries of A as (i, j, value) triples, the
+    degrees in the order they first appear entry by entry."""
+    by_degree: dict[int, list] = {}
+    for i, row in enumerate(mod.matrix.entries):
+        for j, cell in enumerate(row):
+            for d in range(min(upto, cell.order) + 1):
+                c = cell.coeffs[d]
+                if not c.is_exact_zero:
+                    by_degree.setdefault(d, []).append((i, j, c))
+    return by_degree
+
+
 def ref_solve_horizontal(mod: DifferentialModule, start, order: int):
     p, m = mod.p, mod.rank
-    by_degree = mod._sparse_coefficients(order)
+    by_degree = ref_sparse_coefficients(mod, order)
     zero = PadicNumber.exact_zero(p)
     coeffs = [list(start)]
     for s in range(order):
@@ -514,7 +529,8 @@ def ref_solve_regular(H: SeriesMatrix, Bm: SeriesMatrix, order: int) -> SeriesMa
     p = H.p
     m, n = H.shape
     k = Bm.shape[1]
-    h_coeffs = [H.coefficient_matrix(d) for d in range(min(order, H.poly_degree()) + 1)]
+    degree = max(c.order for row in H.entries for c in row)
+    h_coeffs = [H.coefficient_matrix(d) for d in range(min(order, degree) + 1)]
     active = [d for d, hd in enumerate(h_coeffs)
               if any(not c.is_exact_zero for row in hd for c in row)]
     x_cols = [[] for _ in range(k)]
@@ -551,6 +567,22 @@ def make_op_coeff(p: int, code: int) -> PadicNumber:
     return PadicNumber.exact_zero(p)
 
 
+def make_exact_op_coeff(p: int, code: int) -> PadicNumber:
+    """By code % 16: an exact rational of make_coeff (10 in 16), one whose
+    numerator has about 2,000 bits and whose shadow N is 1, 2, 5 or 48
+    (4 in 16), a capped value or an exact zero (1 in 16 each): the
+    coefficients of an operator that takes one block.  Capped values are
+    rare because every sum they enter is capped, whatever its order."""
+    kind, rest = code % 16, code // 16
+    if kind < 10:
+        return make_coeff(p, rest * 6)
+    if kind < 14:
+        rest, den = divmod(rest, 6)
+        num = (-1) ** rest * (2 ** 2000 // 3 + rest)
+        return PadicNumber.from_rational(num, den + 1, p, (1, 2, 5, 48)[rest % 4])
+    return make_op_coeff(p, rest * 4 + (kind - 14) * 3)
+
+
 def make_unit(p: int, code: int) -> PadicNumber:
     """An exact or a capped unit: a determinate constant term."""
     if code % 2:
@@ -558,23 +590,32 @@ def make_unit(p: int, code: int) -> PadicNumber:
     return PadicNumber.from_rational(code // 2 * p + 1, 1 + code % 5 * p, p)
 
 
-def codes(n: int):
-    return st.lists(COEFF_CODES, min_size=n, max_size=n)
+# codes that make_coeff and make_unit turn into exact values
+EXACT_CODES = COEFF_CODES.map(lambda c: c - c % 6)
 
 
-def make_op_series(p: int, draw, order: int, first) -> TruncatedSeries:
+def codes(n: int, elements=COEFF_CODES):
+    return st.lists(elements, min_size=n, max_size=n)
+
+
+def make_op_series(p: int, draw, order: int, first, op) -> TruncatedSeries:
     """An operator entry: first, then operator coefficients to the order,
     or a polynomial of degree 1 or 3 that the block's pairs outrun."""
     n = draw(st.sampled_from((1, 3, order)))
-    return TruncatedSeries(p, [first] + [make_op_coeff(p, c) for c in draw(codes(n))],
-                           n < order)
+    return TruncatedSeries(p, [first] + [op(p, c) for c in draw(codes(n))], n < order)
+
+
+# the blocked suites draw operator coefficients from make_op_coeff and the
+# other inputs from COEFF_CODES; the one-block suites below swap in these
+ONE_BLOCK = dict(op=make_exact_op_coeff, orders=st.sampled_from((4, 8, 12)),
+                 inputs=EXACT_CODES)
 
 
 @st.composite
-def divide_cases(draw):
-    p, order = draw(PRIMES), draw(RECURSION_ORDERS)
-    f = make_series(p, draw(codes(order + 1)), False)
-    g = make_op_series(p, draw, order, make_unit(p, draw(COEFF_CODES)))
+def divide_cases(draw, op=make_op_coeff, orders=RECURSION_ORDERS, inputs=COEFF_CODES):
+    p, order = draw(PRIMES), draw(orders)
+    f = make_series(p, draw(codes(order + 1, inputs)), False)
+    g = make_op_series(p, draw, order, make_unit(p, draw(inputs)), op)
     return f, g, order
 
 
@@ -586,11 +627,11 @@ def test_blocked_divide_matches_reference(case):
 
 
 @st.composite
-def horizontal_cases(draw):
-    p, order, m = draw(PRIMES), draw(RECURSION_ORDERS), draw(st.sampled_from((1, 2)))
-    rows = [[make_op_series(p, draw, order - 1, make_op_coeff(p, draw(COEFF_CODES)))
+def horizontal_cases(draw, op=make_op_coeff, orders=RECURSION_ORDERS, inputs=COEFF_CODES):
+    p, order, m = draw(PRIMES), draw(orders), draw(st.sampled_from((1, 2)))
+    rows = [[make_op_series(p, draw, order - 1, op(p, draw(COEFF_CODES)), op)
              for _ in range(m)] for _ in range(m)]
-    start = [make_coeff(p, c) for c in draw(codes(m))]
+    start = [make_coeff(p, c) for c in draw(codes(m, inputs))]
     return DifferentialModule(SeriesMatrix(p, rows)), start, order
 
 
@@ -603,18 +644,19 @@ def test_blocked_solve_horizontal_matches_reference(case):
 
 
 @st.composite
-def regular_cases(draw):
-    p, order = draw(PRIMES), draw(RECURSION_ORDERS)
+def regular_cases(draw, op=make_op_coeff, orders=RECURSION_ORDERS, inputs=COEFF_CODES):
+    p, order = draw(PRIMES), draw(orders)
     m, k = draw(st.sampled_from(((1, 1), (2, 1), (2, 2))))
     rows = []
     for i in range(m):
         row = []
         for l in range(m):
             # a unit diagonal at t = 0 keeps H_0 invertible
-            c0 = make_unit(p, draw(COEFF_CODES)) if i == l else make_op_coeff(p, draw(COEFF_CODES))
-            row.append(make_op_series(p, draw, order, c0))
+            c0 = make_unit(p, draw(inputs)) if i == l else op(p, draw(COEFF_CODES))
+            row.append(make_op_series(p, draw, order, c0, op))
         rows.append(row)
-    rhs = [[make_series(p, draw(codes(order + 1)), False) for _ in range(k)] for _ in range(m)]
+    rhs = [[make_series(p, draw(codes(order + 1, inputs)), False) for _ in range(k)]
+           for _ in range(m)]
     return SeriesMatrix(p, rows), SeriesMatrix(p, rhs), order
 
 
@@ -627,15 +669,43 @@ def test_blocked_solve_regular_matches_reference(case):
                  lambda: ref_solve_regular(H, Bm, order).entries)
 
 
+# One block: operators with exact nonzero coefficients beside exact inputs.
+# An exact sum's shadow N depends on the order of its additions, so these
+# pin the order in which each recursion subtracts its pairs.
+
+@given(divide_cases(**ONE_BLOCK))
+@ONE_BLOCK_SUITE
+def test_one_block_divide_matches_reference(case):
+    f, g, order = case
+    same_outcome(lambda: f.divide(g, order), lambda: ref_divide(f, g, order))
+
+
+@given(horizontal_cases(**ONE_BLOCK))
+@ONE_BLOCK_SUITE
+def test_one_block_solve_horizontal_matches_reference(case):
+    mod, start, order = case
+    same_outcome(lambda: mod.solve_horizontal(start, order),
+                 lambda: ref_solve_horizontal(mod, start, order))
+
+
+@given(regular_cases(**ONE_BLOCK))
+@ONE_BLOCK_SUITE
+def test_one_block_solve_regular_matches_reference(case):
+    H, Bm, order = case
+    same_outcome(lambda: solve_regular(H, Bm, order).entries,
+                 lambda: ref_solve_regular(H, Bm, order).entries)
+
+
 def record_history_products(monkeypatch) -> list:
-    """Install a recorder of the packed products block_history makes; each
-    records whether it returned None."""
+    """Install a recorder of the packed products the recursion driver
+    series._online makes for block histories; each records whether it
+    returned None."""
     packed = series_module._packed_product
     calls = []
 
     def recording(*args):
         out = packed(*args)
-        if sys._getframe(1).f_code.co_name == "block_history":
+        if sys._getframe(1).f_code.co_name == "_online":
             calls.append(out is None)
         return out
 

@@ -9,6 +9,8 @@ PYTHONPATH picks the tree whose reports are written.  The runs:
 - the eight module subcommands on ex44_p5, dual_ex44_p5, rank3_n2_p5,
   exp_small_p5, sum_exp_cancel_p5 and descriptions/ex44.json, at
   --order 120 --iterates 60;
+- radii on the same six modules with --rho 1 --rho-grid 3,5,9 added: an
+  interior read at r = 0 and a three-point boundary fit;
 - verify-conjecture on the three bundled description files, and on
   hypergeom_half_p5 at --iterates 64;
 - corpus --jobs 2.
@@ -31,6 +33,7 @@ MODULES = ("ex44_p5", "dual_ex44_p5", "rank3_n2_p5", "exp_small_p5", "sum_exp_ca
 SUBCOMMANDS = ("solve", "h0", "growth", "radii", "fprofile", "construct-l", "verify-dwork",
                "verify-conjecture")
 SMALL = ["--order", "120", "--iterates", "60"]
+EDGE = ["--rho", "1", "--rho-grid", "3,5,9"]
 
 
 def runs():
@@ -41,6 +44,7 @@ def runs():
             name = "%s.%s" % (sub, stem)
             extra = ["--csv", name + ".csv", "--svg", name + ".svg"] if sub == "fprofile" else []
             yield name, [sub, module] + SMALL + extra
+        yield "radii-edge.%s" % stem, ["radii", module] + SMALL + EDGE
     for path in sorted(DESCRIPTIONS.glob("*.json")):
         yield "verify-conjecture.default.%s" % path.stem, ["verify-conjecture", str(path)]
     yield ("verify-conjecture.hypergeom_half_p5",

@@ -245,8 +245,7 @@ class DifferentialModule:
                 break
             coeffs, target = combo
             section = _combine([r.section for r in bad], coeffs, self.p)
-            start = _combine_starts([r.start for r in bad], coeffs, self.p)
-            report = self._classify(start, section, order)
+            report = self._classify([c.coeffs[0] for c in section], section, order)
             worst = max(float(r.lam or 0) for r in bad)
             if float(report.lam or 0) > worst - ECHELON_MARGIN:
                 break
@@ -319,13 +318,3 @@ def _combine(sections, coeffs, p: int) -> list[TruncatedSeries]:
         out.append(acc)
     return out
 
-
-def _combine_starts(starts, coeffs, p: int) -> list[PadicNumber]:
-    m = len(starts[0])
-    out = []
-    for i in range(m):
-        acc = PadicNumber.exact_zero(p)
-        for c, st in zip(coeffs, starts):
-            acc = acc + c * st[i]
-        out.append(acc)
-    return out

@@ -398,8 +398,10 @@ def verify_conjecture(module: DifferentialModule,
     as independently checkable evidence.
     """
     cfg = cfg or WorkbenchConfig()
-    h0 = h0 or module.h0_basis(cfg.order)
+    # the boundary first: it refuses an iterate count the matrix window
+    # cannot support before the h0 stage is paid for
     boundary = boundary or RadiusWorkbench(module, cfg).boundary_multiset()
+    h0 = h0 or module.h0_basis(cfg.order)
     m = module.rank
     n = h0.dim
     tol = cfg.growth_tolerance

@@ -21,7 +21,10 @@ Two routes produce the multiset of convergence radii:
   cancellation), so a rung is only trusted while the implied sequence
   stays nonnegative, monotone, and below the column bound.
 
-Positions where the routes agree are certified; elsewhere the
+One reconciliation serves both circles, which differ only in how a
+read is taken: at an interior radius each route is read there, at the
+boundary its reads over a grid of sample radii are extrapolated to
+r = 0.  Positions where the routes agree are certified; elsewhere the
 reconciliation records which route supplied the value.
 """
 
@@ -125,6 +128,7 @@ class PowerIterates:
             cur = nxt
         self.mats = mats
         self._column_betas: dict = {}
+        self._candidates: list[list[TruncatedSeries]] | None = None
 
     def tail_range(self) -> range:
         lo = max(int(self.count * _TAIL_FRAC), 1)
@@ -169,20 +173,23 @@ class PowerIterates:
         """Kernel vectors of a stack of late iterates, truncated low.
 
         Spurious vectors of the truncated stack are harmless: every
-        candidate is verified against the raw iterates before use.
+        candidate is verified against the raw iterates before use.  They
+        depend on the iterates alone, so they are found once.
         """
-        count = self.count
-        picks = [count - d for d in range(_KERNEL_STACK_DEPTH) if count - d >= 1]
-        if not picks:
-            return []
-        stack = SeriesMatrix.vstack([self.mats[s] for s in picks])
-        k = _KERNEL_WORKING_ORDER
-        stack = stack.map(lambda c: c.truncate(k) if c.order > k else c)
-        try:
-            raw = kernel_basis(stack, working_order=k)
-        except (PrecisionError, ValueError):
-            return []
-        return [_polynomial_lift(vec) for vec in raw]
+        if self._candidates is None:
+            count = self.count
+            picks = [count - d for d in range(_KERNEL_STACK_DEPTH) if count - d >= 1]
+            raw = []
+            if picks:
+                stack = SeriesMatrix.vstack([self.mats[s] for s in picks])
+                k = _KERNEL_WORKING_ORDER
+                stack = stack.map(lambda c: c.truncate(k) if c.order > k else c)
+                try:
+                    raw = kernel_basis(stack, working_order=k)
+                except (PrecisionError, ValueError):
+                    pass
+            self._candidates = [_polynomial_lift(vec) for vec in raw]
+        return self._candidates
 
 
 def _polynomial_lift(vec: list[TruncatedSeries],
@@ -320,33 +327,19 @@ class RadiusWorkbench:
 
     def multiset(self, r) -> MultisetSample:
         r = Fraction(r)
-        cols = self.column_radii(r)
-        f_cols = sorted((-(c.log_radius) for c in cols), reverse=True)
-        ladder = self._ladder(r)
         # a radius never exceeds rho, so a trustworthy rung has f >= r;
         # rungs below that are tensor-cancellation artifacts
-        out, prov = _reconcile(f_cols, ladder, r)
+        out, prov, _, ladder_ok = self._reconciled(lambda read: (read(r), True), r)
+        cols = self.column_radii(r)
         # a ladder value is never certified
         cert = [src != "ladder" and cols[i].certified for i, src in enumerate(prov)]
         flags = set()
         if "ladder" in prov:
             flags.add("routes_disagree")
-        if ladder is not None and "columns" in prov:
+        if ladder_ok and "columns" in prov:
             flags.add("ladder_invalid")
         return MultisetSample(r, tuple(-f for f in out), tuple(prov),
                               tuple(cert), tuple(sorted(flags)))
-
-    def _ladder(self, r: Fraction) -> list[Fraction] | None:
-        """Minus-log radii implied by the exterior power top radii."""
-        try:
-            # minus-log intrinsic top radius of each exterior power
-            ells = [-(self.top_radius(r, wedge_degree=k).log_radius + r)
-                    for k in range(1, self.module.rank + 1)]
-        except ValueError:
-            return None
-        return _telescope(ells, r)
-
-    # -- boundary extrapolation ------------------------------------------------
 
     def boundary_multiset(self) -> BoundaryReport:
         """Multiset of radii extrapolated to the boundary circle.
@@ -359,21 +352,12 @@ class RadiusWorkbench:
         lower bounds there, which keeps the reconciliation gate sound.
         """
         grid = sorted(Fraction(1, k) for k in self.cfg.rho_denominators)
-        m = self.module.rank
 
-        col_samples = {g: self.column_radii(g) for g in grid}
-        f_cols: list[Fraction] = []
-        col_ok: list[bool] = []
-        for i in range(m):
-            values = [(g, sorted(c.log_radius for c in col_samples[g])[i])
-                      for g in grid]
-            log_R, _, ok = _extrapolate(values)
-            f_cols.append(-min(log_R, Fraction(0)))
-            col_ok.append(ok)
-        f_cols.sort(reverse=True)
+        def at(read):
+            log_R, _, ok = _extrapolate([(g, read(g)) for g in grid])
+            return log_R, ok
 
-        ladder, ladder_ok = self._boundary_ladder(grid)
-        out, prov = _reconcile(f_cols, ladder, Fraction(0))
+        out, prov, col_ok, ladder_ok = self._reconciled(at, Fraction(0))
         # a position is as sound as the extrapolations it rests on
         res_ok = [(src == "ladder" or col_ok[i]) and (src == "columns" or ladder_ok)
                   for i, src in enumerate(prov)]
@@ -381,20 +365,29 @@ class RadiusWorkbench:
                               tuple(res_ok), tuple(grid),
                               sum(1 for f in out if f == 0))
 
-    def _boundary_ladder(self, grid):
-        """Extrapolated minus-log top radii of the exterior powers."""
-        ells = []
-        all_ok = True
+    def _reconciled(self, at, floor: Fraction):
+        """Read both routes at one circle and reconcile them.
+
+        at(read) turns read(g), a log radius at sample radius g, into
+        (log radius at the circle, ok).  Returns the per-position
+        minus-log radii, routes and column ok, and the ladder ok.
+        """
+        m = self.module.rank
+        cols = [at(lambda g: self.column_radii(g)[i].log_radius) for i in range(m)]
+        f_cols = sorted((-min(v, Fraction(0)) for v, _ in cols), reverse=True)
         try:
-            for k in range(1, self.module.rank + 1):
-                values = [(g, self.top_radius(g, wedge_degree=k).log_radius)
-                          for g in grid]
-                log_R, _, ok = _extrapolate(values)
-                ells.append(-min(log_R, Fraction(0)))
-                all_ok = all_ok and ok
+            tops = [at(lambda g: self.top_radius(g, wedge_degree=k).log_radius)
+                    for k in range(1, m + 1)]
         except ValueError:
-            return None, False
-        return _telescope(ells, Fraction(0)), all_ok
+            tops = None
+        ladder = None
+        if tops is not None:
+            # minus-log top radii of the exterior powers telescope from floor
+            ells = [floor] + [-min(v, Fraction(0)) for v, _ in tops]
+            ladder = [ells[k] - ells[k - 1] + floor for k in range(1, m + 1)]
+        out, prov = _reconcile(f_cols, ladder, floor)
+        ladder_ok = tops is not None and all(ok for _, ok in tops)
+        return out, prov, [ok for _, ok in cols], ladder_ok
 
     # -- growth of the radius filtration ----------------------------------------
 
@@ -418,17 +411,6 @@ def _keeps_spanning(cols: list[ColumnRadius], worst: int,
     m = len(vec)
     Y = SeriesMatrix(p, [[trial[j][i] for j in range(len(trial))] for i in range(m)])
     return Y.det().t_order_info()[0] is not None
-
-
-def _telescope(ells: list[Fraction], shift: Fraction) -> list[Fraction]:
-    """Per-position values from cumulative exterior-power reads:
-    position k is ells[k] - ells[k-1] + shift."""
-    out = []
-    prev = Fraction(0)
-    for ell in ells:
-        out.append(ell - prev + shift)
-        prev = ell
-    return out
 
 
 def _reconcile(f_cols: list[Fraction], ladder: list[Fraction] | None,
@@ -468,24 +450,20 @@ def _extrapolate(values: list[tuple[Fraction, Fraction]]):
     """Affine extrapolation to r = 0 through the two smallest-r points.
 
     The third point checks the fit; on failure the window shifts away
-    from the boundary once before the check is waived and flagged.
+    from the boundary once before the check is waived and flagged: on
+    the shifted window when no point is left to check it, else on the
+    window at the boundary.
     """
     values = sorted(values)
-    for lead in (0, 1):
-        if lead + 1 >= len(values):
-            break
-        (r1, v1), (r2, v2) = values[lead], values[lead + 1]
+    checked = [(values[lead:lead + 2], values[lead + 2])
+               for lead in (0, 1) if lead + 2 < len(values)]
+    waived = values[1:3] if len(values) == 3 else values[:2]
+    for window, check in checked + [(waived, None)]:
+        (r1, v1), (r2, v2) = window
         slope = (v2 - v1) / (r2 - r1)
         intercept = v1 - slope * r1
-        if lead + 2 < len(values):
-            r3, v3 = values[lead + 2]
-            if abs(intercept + slope * r3 - v3) > _FIT_RESIDUAL_TOL:
-                continue
-            return intercept, ((r1, v1), (r2, v2)), True
-        return intercept, ((r1, v1), (r2, v2)), False
-    (r1, v1), (r2, v2) = values[0], values[1]
-    slope = (v2 - v1) / (r2 - r1)
-    return v1 - slope * r1, ((r1, v1), (r2, v2)), False
+        if check is None or abs(intercept + slope * check[0] - check[1]) <= _FIT_RESIDUAL_TOL:
+            return intercept, tuple(window), check is not None
 
 
 def _convexity_ok(rows) -> bool:

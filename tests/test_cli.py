@@ -370,6 +370,18 @@ def test_cli_window_too_short_for_iterates_exits_3(tmp_path, capsys, argv, count
         "error: matrix window 99 cannot support %d iterates" % count]
 
 
+def test_cli_verify_conjecture_refuses_window_before_h0(tmp_path, monkeypatch, capsys):
+    # the boundary stage refuses the iterate count; h0 is never solved
+    def h0_basis(self, order):
+        raise AssertionError("h0 solved before the iterate window was checked")
+    monkeypatch.setattr(DifferentialModule, "h0_basis", h0_basis)
+    path = tmp_path / "short.json"
+    path.write_text(json.dumps(CAPPED_MODULE))
+    assert run("verify-conjecture", str(path)) == 3
+    assert capsys.readouterr().err.splitlines() == [
+        "error: matrix window 99 cannot support 200 iterates"]
+
+
 @pytest.mark.parametrize("argv", [
     ["solve"], ["h0"], ["growth"], ["verify-dwork"], ["construct-l"],
     ["radii", "--iterates", "67"],

@@ -78,6 +78,9 @@ def test_h0_needs_echelonization_after_gauge():
     assert rep.echelon_steps >= 1
     assert rep.dim == 1
     assert not rep.inconclusive
+    # a combined section's start is its own constant terms
+    for r in rep.sections:
+        assert r.start == [c.coeffs[0] for c in r.section]
 
 
 def test_dual_matrix():

@@ -254,3 +254,21 @@ def test_extrapolate_fallback_drops_broken_point():
     assert intercept == 0
     assert ok
     assert used[0][0] == F(1, 16)
+
+
+@pytest.mark.parametrize("pts,window", [
+    # two points: the fit of every two-k --rho-grid, with nothing to check it
+    ([(F(1, 5), F(-1, 5)), (F(1, 3), F(-1, 3))], slice(0, 2)),
+    # the broken first point fails the check; the shifted window has no
+    # point left to check it
+    ([(F(1, 9), F(-1, 9) - F(1, 100)), (F(1, 5), F(-1, 5)), (F(1, 3), F(-1, 3))],
+     slice(1, 3)),
+    # both checks fail: back to the window at the boundary
+    ([(F(1, 32), F(-1, 32)), (F(1, 16), F(-1, 16)),
+      (F(1, 8), F(-1, 8) - F(1, 100)), (F(1, 4), F(-1, 4) + F(1, 100))], slice(0, 2)),
+])
+def test_extrapolate_unchecked_fit_is_flagged(pts, window):
+    intercept, used, ok = _extrapolate(pts)
+    assert intercept == 0
+    assert used == tuple(pts[window])
+    assert not ok

@@ -11,7 +11,7 @@ PYTHONPATH picks the tree whose reports are written.  The runs:
   --order 120 --iterates 60;
 - radii on the same six modules with --rho 1 --rho-grid 3,5,9 added: an
   interior read at r = 0 and a three-point boundary fit;
-- verify-conjecture on the three bundled description files, and on
+- verify-conjecture on the four bundled description files, and on
   hypergeom_half_p5 at --iterates 64;
 - corpus --jobs 2.
 

@@ -191,6 +191,7 @@ def _digest_boundary(b) -> dict:
         "log_radii": [_rad(v) for v in b.log_radii],
         "provenance": list(b.provenance),
         "residual_ok": list(b.residual_ok),
+        "certified": list(b.certified),
         "grid": [str(r) for r in b.grid],
         "solvable_rank": b.solvable_rank,
     }
@@ -502,9 +503,8 @@ def _print_conjecture(rep) -> None:
         "log radius %s %s" % (hyp, "ok" if rep.hypothesis_ok else "violated")
         if hyp is not None else "not needed"))
     print("  witness: %s" % rep.witness_status)
-    print("  dwork: %s; transfer: %s"
-          % (rep.dwork.verdict,
-             "consistent" if rep.transfer.consistent else "INCONSISTENT"))
+    transfer = {True: "consistent", False: "INCONSISTENT", None: "unknown"}
+    print("  dwork: %s; transfer: %s" % (rep.dwork.verdict, transfer[rep.transfer.consistent]))
 
 
 def cmd_verify_conjecture(args, cfg, name, module, expected) -> tuple[dict, int]:
@@ -514,11 +514,11 @@ def cmd_verify_conjecture(args, cfg, name, module, expected) -> tuple[dict, int]
     # modules are checked by `padiff corpus`
     failed = []
     if expected and os.path.exists(args.module):
-        failed = [k for k, ok in _corpus_checks(rep, expected).items() if not ok]
+        failed = [k for k, ok in _corpus_checks(rep, expected).items() if ok is False]
         for key in failed:
             print("  expected %s: mismatch" % key)
     verdicts = [rep.verdict]
-    if not rep.transfer.consistent or failed:
+    if rep.transfer.consistent is False or failed:
         verdicts.append(FAIL)
     return {"report": _digest_conjecture(rep)}, _verdict_exit(*verdicts)
 

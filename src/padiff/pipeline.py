@@ -61,14 +61,14 @@ class TransferCheck:
 
     The two readings must agree: the smallest boundary radius is 1
     (within tolerance) exactly when every horizontal section converges,
-    i.e. when n = m.
+    i.e. when n = m.  Unknown (None) while h0 is inconclusive.
     """
 
     log_radius: Fraction
     h0_dim: int
     rank: int
     tolerance: float
-    consistent: bool
+    consistent: bool | None
 
 
 def transfer_check(module: DifferentialModule, cfg: WorkbenchConfig | None = None,
@@ -80,7 +80,7 @@ def transfer_check(module: DifferentialModule, cfg: WorkbenchConfig | None = Non
     top = boundary.log_radii[0]
     unit = abs(float(top)) <= TRANSFER_TOLERANCE
     return TransferCheck(top, h0.dim, module.rank, TRANSFER_TOLERANCE,
-                         unit == (h0.dim == module.rank))
+                         None if h0.inconclusive else unit == (h0.dim == module.rank))
 
 
 # ----------------------------------------------------------------------

@@ -5,27 +5,28 @@ Fractions: the disc radius p**(-r) is "r", a computed radius p**(-f)
 appears as "-f".  omega = p**(-1/(p-1)) is the radius of exp and caps
 every estimate through the Dwork bound.
 
-Two routes produce the multiset of convergence radii:
+The Taylor iterates M_0 = I, M_{s+1} = M_s' - M_s A hold in column j
+the s-th derivative of the horizontal section through e_j at a generic
+center.  Kernel vectors of a stack of late iterates propose replacement
+basis columns with larger radii, and every proposal is re-verified
+against the raw iterates before it is accepted.  Sorted column radii
+are per-position lower bounds for the true multiset.
 
-* the column route runs the Taylor iterates M_0 = I,
-  M_{s+1} = M_s' - M_s A, whose column j holds the s-th derivative of
-  the horizontal section through e_j at a generic center; kernel
-  vectors of a stack of late iterates propose replacement basis columns
-  with larger radii, and every proposal is re-verified against the raw
-  iterates before it is accepted.  Sorted column radii are
-  per-position lower bounds for the true multiset.
+One rule reads the multiset at a circle:
 
-* the ladder route estimates the top radius of every exterior power;
-  minus-log intrinsic radii telescope to per-position values.  The
-  ladder overshoots when consecutive radii coincide (tensor
-  cancellation), so a rung is only trusted while the implied sequence
-  stays nonnegative, monotone, and below the column bound.
+* position 0 is the generic radius, read from every raw column;
+* positions >= 1 are the sorted column reads, each value moving through
+  the sort with its read's own check;
+* where a position >= 1 reads below the cap, the dual module, whose
+  radii are those of the module, is read the same way, and each such
+  position keeps the larger of the two reads.
 
-One reconciliation serves both circles, which differ only in how a
-read is taken: at an interior radius each route is read there, at the
+A position is certified when its read passes its own check and it is
+either position 0 or at the cap; anywhere else a read is only a lower
+bound.  The circles differ only in how a read is taken: at an interior
+radius each read is taken there and checked by its flags, at the
 boundary its reads over a grid of sample radii are extrapolated to
-r = 0.  Positions where the routes agree are certified; elsewhere the
-reconciliation records which route supplied the value.
+r = 0 and checked by the fit.
 """
 
 from __future__ import annotations
@@ -43,7 +44,6 @@ _AUTO_ITERATE_WINDOW = 96
 _MIN_ITERATE_WINDOW = 32
 _KERNEL_STACK_DEPTH = 3
 _KERNEL_WORKING_ORDER = 16
-_LADDER_TOL = Fraction(1, 1000)
 # the spectral estimate reads iterates s in [_TAIL_FRAC * T, T]
 _TAIL_FRAC = 0.5
 # max residual (in log_p units) for accepting the affine boundary fit
@@ -78,7 +78,6 @@ class MultisetSample:
     log_radii: tuple[Fraction, ...]          # ascending radii
     provenance: tuple[str, ...]              # per position
     certified: tuple[bool, ...]
-    flags: tuple[str, ...]
 
 
 @dataclass(frozen=True)
@@ -86,6 +85,7 @@ class BoundaryReport:
     log_radii: tuple[Fraction, ...]          # ascending
     provenance: tuple[str, ...]
     residual_ok: tuple[bool, ...]
+    certified: tuple[bool, ...]
     grid: tuple[Fraction, ...]
     solvable_rank: int
 
@@ -268,21 +268,18 @@ class RadiusWorkbench:
         self.module = module
         self.cfg = cfg or WorkbenchConfig()
         self.p = module.p
-        self._power_iterates: dict[int, PowerIterates] = {}
+        self._iterates: PowerIterates | None = None
+        self._dual: RadiusWorkbench | None = None
         self._columns_cache: dict[Fraction, list[ColumnRadius]] = {}
 
-    def iterates(self, wedge_degree: int = 1) -> PowerIterates:
-        it = self._power_iterates.get(wedge_degree)
-        if it is None:
-            mod = self.module if wedge_degree == 1 else self.module.wedge(wedge_degree)
-            it = PowerIterates(mod, self.cfg.iterates)
-            self._power_iterates[wedge_degree] = it
-        return it
+    def iterates(self) -> PowerIterates:
+        if self._iterates is None:
+            self._iterates = PowerIterates(self.module, self.cfg.iterates)
+        return self._iterates
 
-    def top_radius(self, r, wedge_degree: int = 1) -> RadiusSample:
+    def top_radius(self, r) -> RadiusSample:
         r = Fraction(r)
-        it = self.iterates(wedge_degree)
-        beta, flags = it.matrix_beta(r)
+        beta, flags = self.iterates().matrix_beta(r)
         log_R = _capped_radius(self.p, r, beta)
         return RadiusSample(r, log_R, _is_clean(flags), flags)
 
@@ -293,7 +290,7 @@ class RadiusWorkbench:
         cached = self._columns_cache.get(r)
         if cached is not None:
             return cached
-        it = self.iterates(1)
+        it = self.iterates()
         m = self.module.rank
         p = self.p
         cols: list[ColumnRadius] = []
@@ -323,71 +320,58 @@ class RadiusWorkbench:
             cols[worst] = ColumnRadius(vec, log_R, certified, True, flags)
         return cols
 
+    def _sorted_column_reads(self, at) -> list[tuple[Fraction, bool]]:
+        """(minus-log radius, ok) of every column position, smallest radius
+        first; each value moves through the sort with its ok."""
+        reads = [at(lambda g: _read(self.column_radii(g)[i]))
+                 for i in range(self.module.rank)]
+        return sorted(((-min(v, Fraction(0)), ok) for v, ok in reads),
+                      key=lambda read: read[0], reverse=True)
+
     # -- combined multiset ---------------------------------------------------
 
     def multiset(self, r) -> MultisetSample:
         r = Fraction(r)
-        # a radius never exceeds rho, so a trustworthy rung has f >= r;
-        # rungs below that are tensor-cancellation artifacts
-        out, prov, _, ladder_ok = self._reconciled(lambda read: (read(r), True), r)
-        cols = self.column_radii(r)
-        # a ladder value is never certified
-        cert = [src != "ladder" and cols[i].certified for i, src in enumerate(prov)]
-        flags = set()
-        if "ladder" in prov:
-            flags.add("routes_disagree")
-        if ladder_ok and "columns" in prov:
-            flags.add("ladder_invalid")
-        return MultisetSample(r, tuple(-f for f in out), tuple(prov),
-                              tuple(cert), tuple(sorted(flags)))
+        out, prov, _, cert = self._reconciled(lambda read: read(r), r)
+        return MultisetSample(r, tuple(-f for f in out), prov, cert)
 
     def boundary_multiset(self) -> BoundaryReport:
         """Multiset of radii extrapolated to the boundary circle.
 
-        Both routes are extrapolated to r = 0 before reconciliation:
-        interior samples of an exterior power top radius legitimately
-        exceed the product of subsidiary radii (a factor rho per wedge
-        degree for Hermite-type modules), so rung arithmetic is only
-        meaningful in the limit.  Sorted column radii stay per-position
-        lower bounds there, which keeps the reconciliation gate sound.
+        Every read is extrapolated to r = 0 over the grid; its ok is the
+        fit check, reported as residual_ok.
         """
         grid = sorted(Fraction(1, k) for k in self.cfg.rho_denominators)
 
         def at(read):
-            log_R, _, ok = _extrapolate([(g, read(g)) for g in grid])
+            log_R, _, ok = _extrapolate([(g, read(g)[0]) for g in grid])
             return log_R, ok
 
-        out, prov, col_ok, ladder_ok = self._reconciled(at, Fraction(0))
-        # a position is as sound as the extrapolations it rests on
-        res_ok = [(src == "ladder" or col_ok[i]) and (src == "columns" or ladder_ok)
-                  for i, src in enumerate(prov)]
-        return BoundaryReport(tuple(-f for f in out), tuple(prov),
-                              tuple(res_ok), tuple(grid),
+        out, prov, ok, cert = self._reconciled(at, Fraction(0))
+        return BoundaryReport(tuple(-f for f in out), prov, ok, cert, tuple(grid),
                               sum(1 for f in out if f == 0))
 
     def _reconciled(self, at, floor: Fraction):
-        """Read both routes at one circle and reconcile them.
+        """Per-position minus-log radii at one circle, whose cap is floor.
 
-        at(read) turns read(g), a log radius at sample radius g, into
-        (log radius at the circle, ok).  Returns the per-position
-        minus-log radii, routes and column ok, and the ladder ok.
+        at(read) turns read(g), a (log radius, ok) pair at sample radius
+        g, into the pair at the circle.  Returns the radii with their
+        routes, read checks and certification.
         """
-        m = self.module.rank
-        cols = [at(lambda g: self.column_radii(g)[i].log_radius) for i in range(m)]
-        f_cols = sorted((-min(v, Fraction(0)) for v, _ in cols), reverse=True)
-        try:
-            tops = [at(lambda g: self.top_radius(g, wedge_degree=k).log_radius)
-                    for k in range(1, m + 1)]
-        except ValueError:
-            tops = None
-        ladder = None
-        if tops is not None:
-            # minus-log top radii of the exterior powers telescope from floor
-            ells = [floor] + [-min(v, Fraction(0)) for v, _ in tops]
-            ladder = [ells[k] - ells[k - 1] + floor for k in range(1, m + 1)]
-        out, prov = _reconcile(f_cols, ladder, floor)
-        ladder_ok = tops is not None and all(ok for _, ok in tops)
-        return out, prov, [ok for _, ok in cols], ladder_ok
+        top, ok0 = at(lambda g: _read(self.top_radius(g)))
+        reads = [(-min(top, Fraction(0)), ok0, "columns")]
+        reads += [(f, ok, "columns") for f, ok in self._sorted_column_reads(at)[1:]]
+        if any(f > floor for f, _, _ in reads[1:]):
+            if self._dual is None:
+                self._dual = RadiusWorkbench(self.module.dual(), self.cfg)
+            dual = self._dual._sorted_column_reads(at)
+            # the dual has the same radii: keep the larger radius
+            reads[1:] = [(f, ok, "dual") if f < mine[0] else mine
+                         for mine, (f, ok) in zip(reads[1:], dual[1:])]
+        out, ok, prov = zip(*reads)
+        cert = tuple(good and (i == 0 or f == floor)
+                     for i, (f, good, _) in enumerate(reads))
+        return out, prov, ok, cert
 
     # -- growth of the radius filtration ----------------------------------------
 
@@ -404,6 +388,11 @@ class RadiusWorkbench:
         return FProfile(tuple(rows), _convexity_ok(rows), _nondecreasing_ok(rows))
 
 
+def _read(sample) -> tuple[Fraction, bool]:
+    """(log radius, ok) of a RadiusSample or ColumnRadius."""
+    return sample.log_radius, sample.certified
+
+
 def _keeps_spanning(cols: list[ColumnRadius], worst: int,
                     vec: list[TruncatedSeries], p: int) -> bool:
     trial = [c.column for c in cols]
@@ -411,39 +400,6 @@ def _keeps_spanning(cols: list[ColumnRadius], worst: int,
     m = len(vec)
     Y = SeriesMatrix(p, [[trial[j][i] for j in range(len(trial))] for i in range(m)])
     return Y.det().t_order_info()[0] is not None
-
-
-def _reconcile(f_cols: list[Fraction], ladder: list[Fraction] | None,
-               floor: Fraction) -> tuple[list[Fraction], list[str]]:
-    """Per-position minus-log radii and the route that supplied each.
-
-    f_cols are the sorted column bounds; a ladder rung is trusted only
-    while it stays at or above floor, monotone, and below the column
-    bound.  Trusted rungs that match the column are "agree", others
-    "ladder"; untrusted ones leave the column value, "columns".
-    """
-    out: list[Fraction] = []
-    prov: list[str] = []
-    prev_f = None
-    for i, f_col in enumerate(f_cols):
-        f_lad = ladder[i] if ladder is not None else None
-        ladder_valid = (
-            f_lad is not None
-            and f_lad >= floor - _LADDER_TOL
-            and (prev_f is None or f_lad <= prev_f + _LADDER_TOL)
-            and f_lad <= f_col + _LADDER_TOL
-        )
-        if ladder_valid and abs(f_lad - f_col) <= _LADDER_TOL:
-            out.append(f_col)
-            prov.append("agree")
-        elif ladder_valid:
-            out.append(max(f_lad, floor))
-            prov.append("ladder")
-        else:
-            out.append(f_col)
-            prov.append("columns")
-        prev_f = out[-1]
-    return out, prov
 
 
 def _extrapolate(values: list[tuple[Fraction, Fraction]]):

@@ -412,6 +412,18 @@ def test_cli_solve_inconclusive_exits_2(monkeypatch):
     assert run("solve", "trivial1_p5") == 2
 
 
+def test_cli_conjecture_transfer_unknown_while_h0_inconclusive(monkeypatch, tmp_path, capsys):
+    # an inconclusive h0 leaves the transfer check unknown, and the exit
+    # code is the INCONCLUSIVE verdict's, not FAIL's
+    monkeypatch.setattr(DifferentialModule, "h0_basis",
+                        lambda self, order: H0Report([], 0, True, 0))
+    out = tmp_path / "rep.json"
+    assert run("verify-conjecture", "exp_unit_p5", "--order", "60", "--iterates", "20",
+               "--out", str(out)) == 2
+    assert "transfer: unknown" in capsys.readouterr().out
+    assert json.loads(out.read_text())["report"]["transfer"]["consistent"] is None
+
+
 def test_cli_growth_capped_tail_exits_2(capsys):
     # the capped hypergeometric tail cannot certify its zeros
     assert run("growth", "hypergeom_half_p5") == 2
@@ -432,6 +444,18 @@ def test_cli_radii_unit_rho_sample(tmp_path, capsys):
     assert doc["sample"]["log_radii"] == [{"base_p_exponent": "-1/4"}]
     assert doc["boundary"]["log_radii"] == [{"base_p_exponent": "-1/4"}]
     assert doc["config"]["iterates"] == 120
+
+
+def test_cli_exp2_reads_both_radii_at_omega(tmp_path):
+    # two copies of the exponential module: the radii of a direct sum
+    # are the union of its summands', so neither reaches the unit circle
+    path = str(DESCRIPTIONS / "exp2.json")
+    assert run("verify-conjecture", path, "--order", "60", "--iterates", "60") == 0
+    out = tmp_path / "radii.json"
+    assert run("radii", path, "--order", "60", "--iterates", "60", "--out", str(out)) == 0
+    boundary = json.loads(out.read_text())["boundary"]
+    assert boundary["log_radii"] == [{"base_p_exponent": "-1/4"}] * 2
+    assert boundary["solvable_rank"] == 0
 
 
 def test_cli_radii_interior_rho(capsys):

@@ -252,7 +252,7 @@ def test_construct_rank3_generic():
 
 def test_construct_rejects_unit_circle_hypothesis():
     fake = BoundaryReport((F(0), F(0)), ("agree", "agree"), (True, True),
-                          (), 0)
+                          (True, True), (), 0)
     with pytest.raises(WitnessError, match="unit circle"):
         construct_submodule(build("ex44_p5").module, CFG, boundary=fake)
 

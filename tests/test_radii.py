@@ -6,13 +6,15 @@ forms.
 """
 
 from fractions import Fraction
+from itertools import combinations_with_replacement
 
 import pytest
 
 from padiff.config import WorkbenchConfig
-from padiff.corpus import build
+from padiff.corpus import build, names
 from padiff.linalg import SeriesMatrix
 from padiff.radii import (
+    ColumnRadius,
     PowerIterates,
     RadiusWorkbench,
     _extrapolate,
@@ -151,12 +153,13 @@ def test_multiset_ex44_interior(ex44_wb):
 
 
 def test_multiset_sum_exp_rejects_cancelled_wedge():
-    # the top wedge is the zero matrix, so the ladder would report a
-    # unit second radius; the intrinsic gate must throw that rung out
+    # the top wedge is the zero matrix, so an exterior-power read would
+    # claim a unit second radius; the columns of the module and of its
+    # dual both read omega, and below the cap that is a lower bound only
     wb = RadiusWorkbench(build("sum_exp_cancel_p5").module, CFG)
     ms = wb.multiset(F(1, 8))
     assert ms.log_radii == (F(-1, 4), F(-1, 4))
-    assert "ladder_invalid" in ms.flags
+    assert ms.certified == (True, False)
 
 
 # ----------------------------------------------------------------------
@@ -171,16 +174,16 @@ def test_boundary_ex44_all_primes():
         expected = tuple(Fraction(s) for s in entry.expected["boundary_log_radii"])
         assert report.log_radii == expected
         assert report.solvable_rank == 1
-        assert report.provenance == ("agree", "agree")
+        assert report.provenance == ("columns", "columns")
 
 
-def test_boundary_dual_uses_ladder():
+def test_boundary_dual_reads_the_dual():
     wb = RadiusWorkbench(build("dual_ex44_p5").module, CFG)
     report = wb.boundary_multiset()
     assert report.log_radii == (F(-1, 4), F(0))
     assert report.solvable_rank == 1
-    # no section realises the unit radius: it comes from the wedge route
-    assert report.provenance[1] == "ladder"
+    # no section realises the unit radius: the dual, ex44, has one
+    assert report.provenance[1] == "dual"
 
 
 def test_boundary_sum_exp_keeps_columns():
@@ -189,6 +192,53 @@ def test_boundary_sum_exp_keeps_columns():
     assert report.log_radii == (F(-1, 4), F(-1, 4))
     assert report.solvable_rank == 0
     assert report.provenance[1] == "columns"
+
+
+def test_boundary_reads_and_checks_sort_together(monkeypatch):
+    # column 1 reads above column 0 on every grid circle, but its steeper
+    # fit fails and extrapolates below column 0's: the sort must carry
+    # each fit check with its value
+    reads = {F(1, 32): F(0), F(1, 16): F(1, 32), F(1, 8): F(0), F(1, 4): F(0)}
+
+    def column_radii(self, r):
+        basis = [TruncatedSeries.one(5)] * 2
+        return [ColumnRadius(basis, -r, True, False, ()),
+                ColumnRadius(basis, reads[r], True, False, ())]
+
+    monkeypatch.setattr(RadiusWorkbench, "column_radii", column_radii)
+    report = RadiusWorkbench(build("trivial2_p5").module, CFG).boundary_multiset()
+    assert report.log_radii == (F(0), F(0))
+    assert report.residual_ok == (True, True)
+    assert report.certified == (True, True)
+
+
+SUM_PARTS = ("ex44_p5", "dual_ex44_p5", "exp_unit_p5", "exp_small_p5", "trivial1_p5",
+             "sum_exp_cancel_p5")
+
+
+def _law_cases():
+    """(module, true boundary log radii): every direct sum of two
+    SUM_PARTS, with repeats, against the union of the summands' radii,
+    and the dual of every corpus module but the hypergeometric ones
+    against the module's own radii."""
+    parts = {name: build(name) for name in SUM_PARTS}
+    for a, b in combinations_with_replacement(SUM_PARTS, 2):
+        union = parts[a].expected["boundary_log_radii"] + parts[b].expected["boundary_log_radii"]
+        yield parts[a].module.direct_sum(parts[b].module), union
+    for name in names():
+        if not name.startswith("hypergeom"):
+            entry = build(name)
+            yield entry.module.dual(), entry.expected["boundary_log_radii"]
+
+
+def test_boundary_union_and_duality_laws():
+    # every read is a lower bound, and a certified one is the truth
+    for module, truth in _law_cases():
+        truth = sorted(Fraction(v) for v in truth)
+        report = RadiusWorkbench(module, WorkbenchConfig(iterates=60)).boundary_multiset()
+        for got, want, cert in zip(report.log_radii, truth, report.certified):
+            assert got <= want, (module.label, report.log_radii, truth)
+            assert got == want or not cert, (module.label, report.log_radii, truth)
 
 
 def test_boundary_trivial():

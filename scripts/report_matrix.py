@@ -15,13 +15,14 @@ PYTHONPATH picks the tree whose reports are written.  The runs:
   hypergeom_half_p5 at --iterates 64;
 - corpus --jobs 2.
 
-Run NAME leaves NAME.json (its report without the timestamp line),
+Run NAME leaves NAME.json (its report without the timestamp key),
 NAME.txt (stdout and stderr together) and NAME.code (the exit code);
 fprofile runs also leave NAME.csv and NAME.svg.  The description files
 are read from this script's tree, so that both trees see the same paths.
 `diff -r` of two output directories compares two trees' reports.
 """
 
+import json
 import os
 import subprocess
 import sys
@@ -71,9 +72,9 @@ def main(argv) -> int:
         (outdir / (name + ".code")).write_text("%d\n" % proc.returncode)
         report = outdir / (name + ".json")
         if report.exists():
-            lines = report.read_text().splitlines(keepends=True)
-            report.write_text("".join(line for line in lines
-                                      if not line.startswith(' "timestamp": ')))
+            doc = json.loads(report.read_text())
+            doc.pop("timestamp", None)
+            report.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
         print("%-48s exit %d" % (name, proc.returncode))
     return 0
 

@@ -15,7 +15,7 @@ from functools import partial
 
 from padiff.diffmod import DifferentialModule
 from padiff.linalg import SeriesMatrix
-from padiff.padic import DEFAULT_PRECISION, PadicNumber
+from padiff.padic import DEFAULT_PRECISION, PadicNumber, unit_digits, vp_fraction
 from padiff.series import TruncatedSeries
 
 HYPERGEOM_WINDOW = 420
@@ -42,56 +42,54 @@ def _expected(h0_dim: int, log_radii: list[Fraction], solvable_rank: int,
 # builders
 
 
-def ex44(p: int, precision: int = DEFAULT_PRECISION) -> CorpusEntry:
+def ex44(p: int) -> CorpusEntry:
     """Rank 2, one bounded section (t, 1), the other of exponential type."""
-    A = SeriesMatrix.from_rational_rows(p, [[[0], [-1]], [[1], [0, -1]]],
-                                        N=precision)
+    A = SeriesMatrix.from_rational_rows(p, [[[0], [-1]], [[1], [0, -1]]])
     omega = Fraction(-1, p - 1)
     return CorpusEntry("ex44_p%d" % p, DifferentialModule(A, "ex44_p%d" % p),
                        _expected(1, [omega, Fraction(0)], 1))
 
 
-def dual_ex44(p: int, precision: int = DEFAULT_PRECISION) -> CorpusEntry:
-    base = ex44(p, precision).module
+def dual_ex44(p: int) -> CorpusEntry:
+    base = ex44(p).module
     name = "dual_ex44_p%d" % p
     omega = Fraction(-1, p - 1)
     return CorpusEntry(name, DifferentialModule(base.dual().matrix, name),
                        _expected(0, [omega, Fraction(0)], 0))
 
 
-def trivial(p: int, rank: int, precision: int = DEFAULT_PRECISION) -> CorpusEntry:
+def trivial(p: int, rank: int) -> CorpusEntry:
     name = "trivial%d_p%d" % (rank, p)
     return CorpusEntry(name, DifferentialModule(SeriesMatrix.zero(p, rank, rank), name),
                        _expected(rank, [Fraction(0)] * rank, rank))
 
 
-def exp_unit(p: int, precision: int = DEFAULT_PRECISION) -> CorpusEntry:
-    A = SeriesMatrix.from_rational_rows(p, [[[1]]], N=precision)
+def exp_unit(p: int) -> CorpusEntry:
+    A = SeriesMatrix.from_rational_rows(p, [[[1]]])
     name = "exp_unit_p%d" % p
     return CorpusEntry(name, DifferentialModule(A, name),
                        _expected(0, [Fraction(-1, p - 1)], 0))
 
 
-def exp_small(p: int, precision: int = DEFAULT_PRECISION) -> CorpusEntry:
-    A = SeriesMatrix.from_rational_rows(p, [[[p]]], N=precision)
+def exp_small(p: int) -> CorpusEntry:
+    A = SeriesMatrix.from_rational_rows(p, [[[p]]])
     name = "exp_small_p%d" % p
     return CorpusEntry(name, DifferentialModule(A, name),
                        _expected(1, [Fraction(0)], 1))
 
 
-def sum_exp_cancel(p: int, precision: int = DEFAULT_PRECISION) -> CorpusEntry:
+def sum_exp_cancel(p: int) -> CorpusEntry:
     """[1] + [-1]: both radii are omega although the top wedge is trivial."""
-    A = SeriesMatrix.from_rational_rows(p, [[[1], [0]], [[0], [-1]]],
-                                        N=precision)
+    A = SeriesMatrix.from_rational_rows(p, [[[1], [0]], [[0], [-1]]])
     name = "sum_exp_cancel_p%d" % p
     omega = Fraction(-1, p - 1)
     return CorpusEntry(name, DifferentialModule(A, name),
                        _expected(0, [omega, omega], 0))
 
 
-def rank3_n2(p: int, precision: int = DEFAULT_PRECISION) -> CorpusEntry:
+def rank3_n2(p: int) -> CorpusEntry:
     """ex44 plus a trivial line: solvable rank 2 inside rank 3."""
-    base = ex44(p, precision).module.direct_sum(trivial(p, 1, precision).module)
+    base = ex44(p).module.direct_sum(trivial(p, 1).module)
     name = "rank3_n2_p%d" % p
     omega = Fraction(-1, p - 1)
     return CorpusEntry(name, DifferentialModule(base.matrix, name),
@@ -133,22 +131,16 @@ def hypergeom_series_capped(p: int, order: int,
     a = PadicNumber.approximate(p, 0, 1, precision)
     out = [a]
     for k in range(order):
-        step = PadicNumber.from_rational((2 * k + 1) ** 2, (2 * k + 2) ** 2,
-                                         p, precision)
-        step = PadicNumber.approximate(p, step.v, step.u, step.N)
-        a = a * step
+        a = a * _capped(Fraction((2 * k + 1) ** 2, (2 * k + 2) ** 2), p, precision)
         out.append(a)
     return out
 
 
-def _capped_copy(series: TruncatedSeries) -> TruncatedSeries:
-    out = []
-    for c in series.coeffs:
-        if c.is_exact and not c.is_exact_zero:
-            out.append(PadicNumber.approximate(series.p, c.v, c.u, c.N))
-        else:
-            out.append(c)
-    return TruncatedSeries(series.p, out, False)
+def _capped(q: Fraction, p: int, precision: int) -> PadicNumber:
+    """The nonzero rational q to precision digits, read from the rational."""
+    v = vp_fraction(q, p)
+    u = unit_digits(q.numerator, q.denominator, p, v, precision)
+    return PadicNumber.approximate(p, v, u, precision)
 
 
 def hypergeom_half(p: int, window: int = HYPERGEOM_WINDOW,
@@ -160,10 +152,9 @@ def hypergeom_half(p: int, window: int = HYPERGEOM_WINDOW,
     """
     if p == 2:
         raise ValueError("the coefficient recurrence needs an odd prime")
-    F = TruncatedSeries.from_rationals(p, hypergeom_coefficients(window + 1),
-                                       tail_exact=False, N=precision)
-    Fc = _capped_copy(F)
-    ell = Fc.derive().divide(Fc, order=window)
+    F = TruncatedSeries(p, [_capped(q, p, precision)
+                            for q in hypergeom_coefficients(window + 1)], False)
+    ell = F.derive().divide(F, order=window)
     Z = TruncatedSeries.zero(p)
     A = SeriesMatrix(p, [[-ell, Z], [Z, ell]])
     name = "hypergeom_half_p%d" % p
@@ -176,7 +167,12 @@ def hypergeom_half(p: int, window: int = HYPERGEOM_WINDOW,
 
 
 def build(name: str, precision: int = DEFAULT_PRECISION) -> CorpusEntry:
-    return _REGISTRY[name](precision=precision)
+    """The named entry; precision sets the digits of the capped data,
+    which only the hypergeometric entries have."""
+    builder = _REGISTRY[name]
+    if builder.func is hypergeom_half:
+        return builder(precision=precision)
+    return builder()
 
 
 def names() -> list[str]:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from padiff.padic import DEFAULT_PRECISION, PadicNumber, PrecisionError
+from padiff.padic import PadicNumber, PrecisionError
 from padiff.series import TruncatedSeries, _online
 
 
@@ -141,10 +141,9 @@ class SeriesMatrix:
     # -- constructors ---------------------------------------------------
 
     @classmethod
-    def from_rational_rows(cls, p: int, rows, tail_exact: bool = True,
-                           N: int = DEFAULT_PRECISION) -> "SeriesMatrix":
+    def from_rational_rows(cls, p: int, rows, tail_exact: bool = True) -> "SeriesMatrix":
         """rows[i][j] is a coefficient list (ints, Fractions or pairs)."""
-        entries = [[TruncatedSeries.from_rationals(p, cell, tail_exact, N) for cell in row]
+        entries = [[TruncatedSeries.from_rationals(p, cell, tail_exact) for cell in row]
                    for row in rows]
         return cls(p, entries)
 

@@ -165,8 +165,16 @@ def _coeff_to_json(c: PadicNumber):
     return c.to_json()
 
 
+# a coefficient string is what str(Fraction) writes; Fraction() alone would
+# also take "1e200000" and build that 10**200000 from eight bytes
+_RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
+
+
 def _coeff_from_json(value, p: int) -> PadicNumber:
     if isinstance(value, str):
+        if not _RATIONAL.fullmatch(value):
+            raise ModfileError("coefficient %r is not an integer or a fraction n/d"
+                               % value[:40])
         q = Fraction(value)
         return PadicNumber.from_rational(q.numerator, q.denominator, p)
     # every later product works on integers mod p**precision, so an

@@ -2,9 +2,12 @@
 
 A value is stored either as an exact rational (so cancellation can be
 recognised structurally) or in capped form ``u * p**v + O(p**(v+N))``
-with ``u`` a unit modulo ``p**N``.  Exact rationals whose numerator or
-denominator outgrows a size budget are demoted to capped form; the
-valuation stays exact under demotion, only trailing digits are dropped.
+with ``u`` a unit modulo ``p**N``.  An exact value has no precision of
+its own: it caches its unit to DEFAULT_PRECISION digits, whatever
+produced it, and expands more digits from the rational on demand.  Exact
+rationals whose numerator or denominator outgrows a size budget are
+demoted to capped form, keeping those digits; the valuation stays exact
+under demotion, only trailing digits are dropped.
 """
 
 from __future__ import annotations
@@ -46,6 +49,16 @@ def vp_fraction(q: Fraction, p: int) -> int:
     return vp_int(q.numerator, p) - vp_int(q.denominator, p)
 
 
+def unit_digits(num: int, den: int, p: int, v: int, k: int) -> int:
+    """The unit of the nonzero rational num/den, of valuation v, mod p**k."""
+    if v > 0:
+        num //= p ** v
+    elif v < 0:
+        den //= p ** (-v)
+    pk = p ** k
+    return num % pk * pow(den, -1, pk) % pk
+
+
 def factorial_valuation(s: int, p: int) -> int:
     """v_p(s!) by summing floor(s / p**k)."""
     if s < 0:
@@ -74,7 +87,9 @@ class PadicNumber:
       v      -- valuation (for an inexact zero: lower bound only)
       u      -- unit part, 0 <= u < p**N and coprime to p; u == 0 iff no
                 digits are known (inexact zero, N == 0)
-      N      -- relative precision in p-adic digits
+      N      -- relative precision in p-adic digits; for an exact nonzero
+                value, and for one demoted from exact, DEFAULT_PRECISION
+                digits of the rational, whatever produced it
       exact  -- the exact rational value when it is tracked, else None;
                 exact == 0 marks the exact zero
     """
@@ -93,8 +108,8 @@ class PadicNumber:
 
     @classmethod
     def from_rational(cls, numerator: int, denominator: int = 1,
-                      p: int = 2, N: int = DEFAULT_PRECISION) -> "PadicNumber":
-        """The p-adic expansion of numerator/denominator to N digits.
+                      p: int = 2) -> "PadicNumber":
+        """The exact value numerator/denominator.
 
         The rational value itself is retained (until it outgrows the
         size budget), so sums that cancel exactly yield the exact zero.
@@ -103,13 +118,11 @@ class PadicNumber:
             raise ZeroDivisionError("rational with zero denominator")
         if p < 2:
             raise ValueError("p must be a prime >= 2")
-        if N < 1:
-            raise ValueError("N must be >= 1")
-        return cls._from_exact(Fraction(numerator, denominator), p, N)
+        return cls._from_exact(Fraction(numerator, denominator), p)
 
     @classmethod
-    def from_int(cls, n: int, p: int, N: int = DEFAULT_PRECISION) -> "PadicNumber":
-        return cls._from_exact(Fraction(n), p, N)
+    def from_int(cls, n: int, p: int) -> "PadicNumber":
+        return cls._from_exact(Fraction(n), p)
 
     @classmethod
     def exact_zero(cls, p: int) -> "PadicNumber":
@@ -136,25 +149,17 @@ class PadicNumber:
         return cls(p, abs_prec, 0, 0, None)
 
     @classmethod
-    def _from_exact(cls, q: Fraction, p: int, N: int,
-                    v: int | None = None) -> "PadicNumber":
-        """The value q to N digits; v, when given, is vp_fraction(q, p)."""
-        num = q.numerator
+    def _from_exact(cls, q: Fraction, p: int, v: int | None = None) -> "PadicNumber":
+        """The exact value q, demoted when it outgrows the size budget; v,
+        when given, is vp_fraction(q, p)."""
+        num, den = q.numerator, q.denominator
         if not num:
             return cls(p, 0, 0, 0, _ZERO)
-        den = q.denominator
         if v is None:
             v = vp_int(num, p) - vp_int(den, p)
+        u = unit_digits(num, den, p, v, DEFAULT_PRECISION)
         big = num.bit_length() > DEMOTE_BITS or den.bit_length() > DEMOTE_BITS
-        if v > 0:
-            num //= p ** v
-        elif v < 0:
-            den //= p ** (-v)
-        pN = p ** N
-        u = num % pN * pow(den, -1, pN) % pN
-        if big:
-            return cls(p, v, u, N, None)
-        return cls(p, v, u, N, q)
+        return cls(p, v, u, DEFAULT_PRECISION, None if big else q)
 
     # ------------------------------------------------------------------
     # predicates and views
@@ -197,28 +202,13 @@ class PadicNumber:
 
     def residue(self, base_v: int, k: int) -> int:
         """The integer (self * p**-base_v) mod p**k; requires v >= base_v."""
-        if k <= 0:
-            return 0
-        pk = self.p ** k
-        if self.exact is not None:
-            if not self.exact:
-                return 0
-            num = self.exact.numerator
-            den = self.exact.denominator
-            w = vp_int(num, self.p) - vp_int(den, self.p)
-            if w < base_v:
-                raise ValueError("residue requested below the valuation")
-            if w > 0:
-                num //= self.p ** w
-            elif w < 0:
-                den //= self.p ** (-w)
-            r = num % pk * pow(den, -1, pk) % pk
-            return r * pow(self.p, w - base_v, pk) % pk
-        if self.u == 0:
+        if k <= 0 or self.u == 0:
             return 0
         if self.v < base_v:
             raise ValueError("residue requested below the valuation")
-        return self.u * pow(self.p, self.v - base_v, pk) % pk
+        pk = self.p ** k
+        u = self.u if self.exact is None else self._unit_to(k)
+        return u * pow(self.p, self.v - base_v, pk) % pk
 
     def agrees(self, other: "PadicNumber") -> bool:
         """Do the two values agree on every digit both of them claim?"""
@@ -248,11 +238,7 @@ class PadicNumber:
             return self
         if self.exact is not None and other.exact is not None:
             q = self.exact + other.exact if sign > 0 else self.exact - other.exact
-            a = min(self.v + self.N, other.v + other.N)
-            if q == 0:
-                return PadicNumber.exact_zero(p)
-            v = vp_fraction(q, p)
-            return PadicNumber._from_exact(q, p, max(a - v, 1), v)
+            return PadicNumber._from_exact(q, p)
         a = min(self.abs_prec, other.abs_prec)  # finite: one side is capped
         a = int(a)
         base = min(self.val_lower_bound(), other.val_lower_bound())
@@ -276,15 +262,10 @@ class PadicNumber:
         return self._addsub(other, -1)
 
     def __neg__(self):
-        if self.exact is not None:
-            if not self.exact:
-                return self
-            return PadicNumber(self.p, self.v, (-self.u) % self.p ** self.N,
-                               self.N, -self.exact)
         if self.u == 0:
             return self
-        return PadicNumber(self.p, self.v, (-self.u) % self.p ** self.N,
-                           self.N, None)
+        exact = None if self.exact is None else -self.exact
+        return PadicNumber(self.p, self.v, (-self.u) % self.p ** self.N, self.N, exact)
 
     def __mul__(self, other):
         p = self._same_prime(other)
@@ -292,8 +273,7 @@ class PadicNumber:
             return PadicNumber.exact_zero(p)
         if self.exact is not None and other.exact is not None:
             # valuations of exact nonzero values are exact, so they add
-            return PadicNumber._from_exact(self.exact * other.exact, p,
-                                           min(self.N, other.N), self.v + other.v)
+            return PadicNumber._from_exact(self.exact * other.exact, p, self.v + other.v)
         if self.u == 0 or other.u == 0:
             # |x*y| <= p**-(bound_x + bound_y)
             return PadicNumber.inexact_zero(p, self.v + other.v)
@@ -311,8 +291,7 @@ class PadicNumber:
         if self.is_exact_zero:
             return self
         if self.exact is not None and other.exact is not None:
-            return PadicNumber._from_exact(self.exact / other.exact, p,
-                                           min(self.N, other.N), self.v - other.v)
+            return PadicNumber._from_exact(self.exact / other.exact, p, self.v - other.v)
         if self.u == 0:
             return PadicNumber.inexact_zero(p, self.v - other.v)
         N, a, b = self._units(other)
@@ -323,7 +302,8 @@ class PadicNumber:
     def _units(self, other) -> tuple[int, int, int]:
         # (N, unit, unit) of a product or quotient: an exact operand does not
         # cap the partner's relative precision N, so its unit is expanded to
-        # N digits from the rational when it stores fewer
+        # N digits from the rational when the partner has more than
+        # DEFAULT_PRECISION
         if self.exact is not None:
             return other.N, self._unit_to(other.N), other.u
         if other.exact is not None:
@@ -331,9 +311,10 @@ class PadicNumber:
         return min(self.N, other.N), self.u, other.u
 
     def _unit_to(self, N: int) -> int:
+        """An exact value's unit to at least N digits."""
         if self.N >= N:
             return self.u
-        return PadicNumber._from_exact(self.exact, self.p, N, self.v).u
+        return unit_digits(self.exact.numerator, self.exact.denominator, self.p, self.v, N)
 
     def _same_prime(self, other) -> int:
         if not isinstance(other, PadicNumber):

@@ -20,8 +20,14 @@ exact coefficients are summed one by one, as before, and settle the
 coefficients no other pair reaches.  The whole product is summed pair by
 pair instead when one of those sums is demoted, or when the operands'
 valuations spread so far that the packed ints would be mostly zeros.
-Products of exact series always are, since an exact value's precision
-shadow N depends on the order of its additions.
+Products of exact series always are, since their coefficients are
+rationals rather than digits.
+
+An exact value caches its unit to DEFAULT_PRECISION digits, whatever
+produced it, so exact results do not depend on the order of the
+operations.  The one order-dependent event left is the demotion of a
+partial exact sum past DEMOTE_BITS: which partial sums exist, and so
+which are demoted, depends on the order of the additions.
 
 Division, horizontal sections and regular solves are online recursions,
 all run by one driver, _online: output s is a finishing step applied to
@@ -35,9 +41,9 @@ are summed one by one.  Every pair then has a non-exact factor, so each
 sum is the true sum mod p**A_k however the pairs are grouped, and no
 exact partial sum can be demoted.  Any other recursion is one block,
 whose pairs are subtracted in the order the caller lists them: that
-order is data, since an exact sum's shadow N depends on the order of its
-additions.  Blocking keeps the same pairs, so every v, unit and N is the
-pairwise loop's; Newton iteration would be faster asymptotically but
+order is data, since it decides which partial exact sums are demoted.
+Blocking keeps the same pairs, so every v, unit and N is the pairwise
+loop's; Newton iteration would be faster asymptotically but
 would change the precision of the coefficients the reports print.
 """
 
@@ -50,7 +56,7 @@ from fractions import Fraction
 from itertools import islice
 from operator import add
 
-from padiff.padic import DEFAULT_PRECISION, PadicNumber, PrecisionError, vp_int
+from padiff.padic import PadicNumber, PrecisionError, vp_int
 
 
 @dataclass(frozen=True)
@@ -110,16 +116,15 @@ class TruncatedSeries:
     # constructors
 
     @classmethod
-    def from_rationals(cls, p: int, values, tail_exact: bool = True,
-                       N: int = DEFAULT_PRECISION) -> "TruncatedSeries":
+    def from_rationals(cls, p: int, values, tail_exact: bool = True) -> "TruncatedSeries":
         """Build from ints, Fractions or (num, den) pairs."""
         coeffs = []
         for val in values:
             if isinstance(val, tuple):
-                coeffs.append(PadicNumber.from_rational(val[0], val[1], p, N))
+                coeffs.append(PadicNumber.from_rational(val[0], val[1], p))
             else:
                 q = Fraction(val)
-                coeffs.append(PadicNumber.from_rational(q.numerator, q.denominator, p, N))
+                coeffs.append(PadicNumber.from_rational(q.numerator, q.denominator, p))
         if not coeffs:
             coeffs = [PadicNumber.exact_zero(p)]
         return cls(p, coeffs, tail_exact)
@@ -272,8 +277,9 @@ class TruncatedSeries:
         p = self.p
         out = []
         # each branch is what from_int(i) * c gives, without building
-        # from_int(i): v_p(i) joins the valuation, and a capped unit is
-        # multiplied by the unit part of i to its own N digits
+        # from_int(i): v_p(i) joins the valuation, an exact value is the
+        # rational times i, and a capped unit is multiplied by the unit
+        # part of i to its own N digits
         for i in range(1, self.order + 1):
             c = self.coeffs[i]
             if c.is_exact_zero:
@@ -281,8 +287,7 @@ class TruncatedSeries:
                 continue
             j = vp_int(i, p)
             if c.exact is not None:
-                c = PadicNumber._from_exact(c.exact * i, p,
-                                            min(DEFAULT_PRECISION, c.N), c.v + j)
+                c = PadicNumber._from_exact(c.exact * i, p, c.v + j)
             elif c.u:
                 c = PadicNumber(p, c.v + j, (i // p ** j) * c.u % p ** c.N, c.N)
             else:
@@ -483,9 +488,11 @@ def _packed_product(p: int, a: list[PadicNumber], b: list[PadicNumber],
     pair products mod p**A_k whatever the order of the additions.  So the
     values come from one product of the operands' integer digits packed
     at a fixed slot width.  The other coefficients sum their exact pairs
-    in _product_loop.  None when one of those sums is demoted, because a
-    demoted value carries a finite precision of its own into A_k, and when
-    a slot would span far more digits than any coefficient knows.
+    in _product_loop.  None when one of those sums is demoted past
+    DEMOTE_BITS, since the demoted value's DEFAULT_PRECISION digits then
+    cap A_k and which partial sums are demoted depends on the order of the
+    additions; None too when a slot would span far more digits than any
+    coefficient knows.
     """
     prec = _precision(a, b, hi, lo)
     live = [k for k, e in enumerate(prec) if e != math.inf]
@@ -508,8 +515,8 @@ def _packed_product(p: int, a: list[PadicNumber], b: list[PadicNumber],
     pw = [1]
     for _ in range(K):
         pw.append(pw[-1] * p)
-    ra = _digits(p, a, va, K, pw)
-    rb = _digits(p, b, vb, K, pw)
+    ra = _digits(a, va, K, pw)
+    rb = _digits(b, vb, K, pw)
     terms = min(len(ra) - ra.count(0), len(rb) - rb.count(0))
     width = max(((terms * (pw[K] - 1) ** 2).bit_length() + 7) // 8, 1)
     packed = _pack(ra, width) * _pack(rb, width)
@@ -551,13 +558,13 @@ def _precision(a: list[PadicNumber], b: list[PadicNumber], hi: int,
     return out
 
 
-def _digits(p: int, coeffs: list[PadicNumber], base: int, K: int,
-            pw: list[int]) -> list[int]:
+def _digits(coeffs: list[PadicNumber], base: int, K: int, pw: list[int]) -> list[int]:
     """Integers r < p**K with c == r * p**base mod p**(base + K), within
     the digits each c knows.
 
-    An exact coefficient storing fewer digits is expanded from its
-    rational; zeros and values at or past p**(base + K) give 0.
+    An exact coefficient is expanded from its rational past its cached
+    DEFAULT_PRECISION digits when K asks for more; zeros and values at or
+    past p**(base + K) give 0.
     """
     out = []
     for c in coeffs:
@@ -566,12 +573,8 @@ def _digits(p: int, coeffs: list[PadicNumber], base: int, K: int,
             out.append(0)
             continue
         n = K - d
-        u = c.u
-        if c.N >= n:
-            u %= pw[n]
-        elif c.exact is not None:
-            u = PadicNumber._from_exact(c.exact, p, n, c.v).u
-        out.append(u * pw[d])
+        u = c.u if c.exact is None else c._unit_to(n)
+        out.append(u % pw[n] * pw[d])
     return out
 
 
@@ -588,7 +591,10 @@ def _online(p: int, ops, rhs, finish, out: list, count: int) -> list:
     for each triple (d >= 1, l, c) of ops[i] with d <= s, subtracted in
     the order ops[i] lists them.  The outputs run in blocks of BLOCK when
     some coefficient of ops is capped or an inexact zero and none is exact
-    and nonzero, else in one block.  A block's history, the pairs whose
+    and nonzero, else in one block.  An exact value caches
+    DEFAULT_PRECISION digits whatever produced it, but a partial exact sum
+    past DEMOTE_BITS is demoted, and which partial sums exist depends on
+    the order of the subtractions: one block keeps the caller's.  A block's history, the pairs whose
     earlier output lies before it, is one packed product per operator
     entry (i, l), or the pairwise loop when that declines.
     """

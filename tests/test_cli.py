@@ -7,6 +7,7 @@ code contract holds on both the happy and the failing paths.
 """
 
 import json
+import time
 from dataclasses import fields
 from fractions import Fraction
 from pathlib import Path
@@ -213,6 +214,21 @@ def test_module_reports_malformed_entries_as_modfile_errors(entry):
     doc["matrix"] = [[entry]]
     with pytest.raises(ModfileError, match=r"entry \(0, 0\)"):
         module_from_json(doc)
+
+
+@pytest.mark.parametrize("coeff", ["1e2000000000", "1e-2000000000"])
+def test_cli_rejects_exponent_coefficients_fast(tmp_path, capsys, coeff):
+    # eight bytes of "1e200000" once built 10**200000 and then spent
+    # seconds peeling its factors of 5; a coefficient string is n or n/d
+    path = tmp_path / "exp.json"
+    doc = _rank1_doc(5)
+    doc["matrix"] = [[["1", coeff]]]
+    path.write_text(json.dumps(doc))
+    start = time.monotonic()
+    assert run("h0", str(path)) == 3
+    assert time.monotonic() - start < 0.5
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: %s" % path), err
 
 
 def test_parse_module_rejects_integers_past_the_digit_limit(tmp_path):

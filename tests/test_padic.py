@@ -46,24 +46,25 @@ def test_factorial_valuation_legendre_closed_form():
 
 def test_from_rational_unit_digits():
     # -1/4 in Z_5: the unit mod 5**4 solves 4*u == -1, i.e. u == 156
-    x = PadicNumber.from_rational(-1, 4, 5, 4)
+    x = PadicNumber.from_rational(-1, 4, 5)
     assert x.v == 0
-    assert x.u == pow(-4, -1, 5 ** 4) == 156
+    assert x.residue(0, 4) == pow(-4, -1, 5 ** 4) == 156
+    assert x.u == pow(-4, -1, 5 ** DEFAULT_PRECISION)
     assert x.exact == Fraction(-1, 4)
 
 
 def test_geometric_series_inverse():
     # 1/(1-5) == -1/4 should match the truncated geometric sum of 5**k
-    x = PadicNumber.from_rational(-1, 4, 5, 5)
+    x = PadicNumber.from_rational(-1, 4, 5)
     geom = sum(5 ** k for k in range(5))
-    assert x.u == geom % 5 ** 5
+    assert x.u % 5 ** 5 == geom
 
 
 def test_negative_valuation():
-    x = PadicNumber.from_rational(7, 25, 5, 6)
+    x = PadicNumber.from_rational(7, 25, 5)
     assert x.v == -2
     assert x.u == 7
-    y = PadicNumber.from_rational(1, 10, 5, 3)
+    y = PadicNumber.from_rational(1, 10, 5)
     assert y.v == -1
     assert y.u * 2 % 5 ** 3 == 1
 
@@ -104,7 +105,7 @@ def test_mul_precision_and_valuation():
 
 
 def test_exact_times_capped_keeps_capped_precision():
-    a = PadicNumber.from_rational(1, 3, 5, DEFAULT_PRECISION)
+    a = PadicNumber.from_rational(1, 3, 5)
     b = PadicNumber.approximate(5, 0, 2, 6)
     c = a * b
     assert c.N == 6
@@ -139,15 +140,15 @@ def test_exact_zero_absorbs():
 
 def test_demotion_of_huge_rationals():
     big = 1 + (1 << 5000)
-    x = PadicNumber.from_rational(big, 1, 5, 8)
+    x = PadicNumber.from_rational(big, 1, 5)
     assert not x.is_exact
-    assert x.u == big % 5 ** 8
+    assert x.u == big % 5 ** DEFAULT_PRECISION
     assert x.v == 0
 
 
 def test_demotion_keeps_valuation_exact():
     big = (1 + (1 << 5000)) * 5 ** 9
-    x = PadicNumber.from_rational(big, 1, 5, 8)
+    x = PadicNumber.from_rational(big, 1, 5)
     assert x.v == 9
     assert not x.is_exact
 

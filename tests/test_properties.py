@@ -7,13 +7,23 @@ The laws are chosen so that each has an exact finite check: norms and
 radii are rational exponents, sections and Smith factors carry exact
 coefficients, and residuals must vanish on the whole known window rather
 than merely get small.
+
+An exact value caches its unit to DEFAULT_PRECISION digits, whatever
+produced it, so exact results do not depend on the order of the
+operations.  The one order-dependent event left is the demotion of a
+partial exact sum past DEMOTE_BITS: which partial sums exist depends on
+the order of the additions.  That is why the one-block recursions and the
+packed product's demotion fallback are checked against their reference
+loops with ==.
 """
 
 import sys
 from fractions import Fraction
+from functools import reduce
 from itertools import combinations
+from operator import add
 
-from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from padiff import corpus
@@ -66,6 +76,26 @@ def test_division_round_trip_exact(p, a, b):
     x, y = padic(a, p), padic(b, p)
     q = (x / y) * (y / x)
     assert q.is_exact and q.exact == 1
+
+
+# exact values spread over many digits, so that their sums cancel past
+# the first digits of some terms
+exact_terms = st.lists(st.tuples(nonzero_rationals, st.integers(-12, 12)),
+                       min_size=1, max_size=8)
+
+
+@given(PRIMES, exact_terms, exact_terms)
+@example(5, [(1, 0), (-1, 0), (1, 10)], [(1, 0)] * 3)
+@SUITE
+def test_exact_results_do_not_depend_on_operation_order(p, xs, ys):
+    # (1 - 1) + 5**10 and (5**10 - 1) + 1 are one rational, so one value
+    xs = [q * Fraction(p) ** e for q, e in xs]
+    ys = [q * Fraction(p) ** e for q, e in ys]
+    values = [padic(q, p) for q in xs]
+    assert reduce(add, values) == reduce(add, values[::-1]) == padic(sum(xs), p)
+    f = TruncatedSeries.from_rationals(p, xs)
+    g = TruncatedSeries.from_rationals(p, ys)
+    assert f * g == g * f
 
 
 # ----------------------------------------------------------------------
@@ -232,8 +262,7 @@ def test_f_profile_trivial_is_linear(p, m, rs):
 #
 # Each reference below is the straightforward loop the kernel replaced.
 # The kernels must return == values: v, u, N and the exact value of
-# every coefficient, so the precision shadow N of exact values is
-# pinned too.
+# every coefficient.
 
 
 def ref_gauss_norm(f: TruncatedSeries, r) -> GaussNorm:
@@ -315,19 +344,21 @@ TAIL_PAIRINGS = st.sampled_from(((True, True), (True, False),
 
 
 def make_coeff(p: int, code: int) -> PadicNumber:
-    """Exact (with a full or a shrunken precision shadow N), capped,
-    inexact-zero or exact-zero, by code % 6."""
+    """Exact, capped, inexact-zero or exact-zero, by code % 6.
+
+    Capped values know 1..6, 60 or 100 digits: past an exact value's
+    DEFAULT_PRECISION cached digits, a capped partner makes the kernels
+    expand the exact unit from its rational."""
     kind, rest = code % 6, code // 6
     if kind < 2:
         rest, num = divmod(rest, 8)
-        rest, den = divmod(rest, 6)
+        den = rest % 6
         num = num - 4 if num < 4 else num - 3      # nonzero, -4..4
-        N = (1, 2, 5, 48, 60)[rest % 5]
-        return PadicNumber.from_rational(num, den + 1, p, N)
+        return PadicNumber.from_rational(num, den + 1, p)
     if kind < 4:
         rest, v = divmod(rest, 7)
-        u, N = divmod(rest, 6)
-        return PadicNumber.approximate(p, v - 3, u, N + 1)
+        u, n = divmod(rest, 8)
+        return PadicNumber.approximate(p, v - 3, u, (1, 2, 3, 4, 5, 6, 60, 100)[n])
     if kind == 4:
         return PadicNumber.inexact_zero(p, rest % 7 - 2)
     return PadicNumber.exact_zero(p)
@@ -390,18 +421,18 @@ def test_matvec_matches_reference(p, shape, pool):
 
 def test_mul_falls_back_when_an_exact_partial_sum_is_demoted():
     # x * x has about 6000 bits, past DEMOTE_BITS, so the exact pair sum at
-    # t**1 is demoted to a capped value with x's N = 5 digits; that value's
-    # precision caps the sum with the capped pair c * x, which the packed
-    # product alone would know only to c's 20 digits
+    # t**1 is demoted to a capped value with DEFAULT_PRECISION = 48 digits;
+    # that value's precision caps the sum with the capped pair c * x, which
+    # the packed product alone would know to c's 60 digits
     p = 5
-    x = PadicNumber.from_rational(7 ** 1070 + 2, 3 ** 900, p, 5)
+    x = PadicNumber.from_rational(7 ** 1070 + 2, 3 ** 900, p)
     assert x.exact.numerator.bit_length() > 3000
-    c = PadicNumber.approximate(p, 0, 1, 20)
+    c = PadicNumber.approximate(p, 0, 1, 60)
     f = TruncatedSeries(p, [x, c], True)
     g = TruncatedSeries(p, [x, x], True)
     got = f * g
     assert got == ref_mul(f, g)
-    assert got.coeffs[1].exact is None and got.coeffs[1].v + got.coeffs[1].N == 5
+    assert got.coeffs[1].exact is None and got.coeffs[1].v + got.coeffs[1].N == 48
 
 
 def test_mul_packs_unless_valuations_spread_far(monkeypatch):
@@ -444,14 +475,15 @@ def test_exact_values_carry_a_unit_digit(p, spec_x, spec_y, op):
         assert c.is_exact_zero == (c.exact is not None and c.exact == 0)
 
 
-@given(PRIMES, nonzero_rationals, st.sampled_from((1, 2, 5, 48)),
-       st.integers(-3, 3), st.integers(1, 10 ** 40), st.integers(1, 60))
+@given(PRIMES, nonzero_rationals, st.integers(-3, 3), st.integers(1, 10 ** 40),
+       st.one_of(st.integers(1, 60), st.just(100)))
 @SUITE
-def test_exact_times_capped_claims_only_true_digits(p, a, n_exact, v, u, n_capped):
-    # the exact operand stores only n_exact digits, but a product or
-    # quotient claims the capped partner's relative precision; each claimed
-    # digit must agree with the exact value of a and of y's known digits
-    x = PadicNumber.from_rational(a.numerator, a.denominator, p, n_exact)
+def test_exact_times_capped_claims_only_true_digits(p, a, v, u, n_capped):
+    # the exact operand caches DEFAULT_PRECISION digits, but a product or
+    # quotient claims the capped partner's relative precision, which may be
+    # more; each claimed digit must agree with the exact value of a and of
+    # y's known digits
+    x = padic(a, p)
     y = PadicNumber.approximate(p, v, u, n_capped)
     assume(y.u)
     b = y.u * Fraction(p) ** y.v
@@ -569,17 +601,17 @@ def make_op_coeff(p: int, code: int) -> PadicNumber:
 
 def make_exact_op_coeff(p: int, code: int) -> PadicNumber:
     """By code % 16: an exact rational of make_coeff (10 in 16), one whose
-    numerator has about 2,000 bits and whose shadow N is 1, 2, 5 or 48
-    (4 in 16), a capped value or an exact zero (1 in 16 each): the
-    coefficients of an operator that takes one block.  Capped values are
-    rare because every sum they enter is capped, whatever its order."""
+    numerator has about 2,000 bits (4 in 16), a capped value or an exact
+    zero (1 in 16 each): the coefficients of an operator that takes one
+    block.  Capped values are rare because every sum they enter is
+    capped, whatever its order."""
     kind, rest = code % 16, code // 16
     if kind < 10:
         return make_coeff(p, rest * 6)
     if kind < 14:
         rest, den = divmod(rest, 6)
         num = (-1) ** rest * (2 ** 2000 // 3 + rest)
-        return PadicNumber.from_rational(num, den + 1, p, (1, 2, 5, 48)[rest % 4])
+        return PadicNumber.from_rational(num, den + 1, p)
     return make_op_coeff(p, rest * 4 + (kind - 14) * 3)
 
 
@@ -670,8 +702,9 @@ def test_blocked_solve_regular_matches_reference(case):
 
 
 # One block: operators with exact nonzero coefficients beside exact inputs.
-# An exact sum's shadow N depends on the order of its additions, so these
-# pin the order in which each recursion subtracts its pairs.
+# Whether a partial exact sum is demoted past DEMOTE_BITS depends on the
+# order of its additions, so these pin the order in which each recursion
+# subtracts its pairs.
 
 @given(divide_cases(**ONE_BLOCK))
 @ONE_BLOCK_SUITE
@@ -735,7 +768,7 @@ def test_exact_big_operator_coefficient_takes_one_block(monkeypatch):
     # its own order and makes no packed product
     calls = record_history_products(monkeypatch)
     p, order = 5, 2 * B + 1
-    big = PadicNumber.from_rational(7 ** 1070 + 2, 3 ** 900, p, 5)
+    big = PadicNumber.from_rational(7 ** 1070 + 2, 3 ** 900, p)
     assert big.exact.numerator.bit_length() > 3000
     ops = [PadicNumber.approximate(p, i % 3, i + 1, 20) for i in range(order)]
     ops[3] = big

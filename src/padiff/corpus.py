@@ -15,7 +15,8 @@ from functools import partial
 
 from padiff.diffmod import DifferentialModule
 from padiff.linalg import SeriesMatrix
-from padiff.padic import DEFAULT_PRECISION, PadicNumber, unit_digits, vp_fraction
+from padiff.padic import (DEFAULT_PRECISION, PadicNumber, factorial_valuation, unit_digits,
+                          vp_fraction)
 from padiff.series import TruncatedSeries
 
 HYPERGEOM_WINDOW = 420
@@ -111,14 +112,7 @@ def hypergeom_coefficients(order: int):
 
 def hypergeom_valuation_oracle(k: int, p: int) -> int:
     """v_p of the k-th coefficient via Legendre's formula (odd p)."""
-    def vfact(s):
-        total = 0
-        q = s
-        while q:
-            q //= p
-            total += q
-        return total
-    return 2 * (vfact(2 * k) - 2 * vfact(k))
+    return 2 * (factorial_valuation(2 * k, p) - 2 * factorial_valuation(k, p))
 
 
 def hypergeom_series_capped(p: int, order: int,

@@ -14,6 +14,7 @@ does not separate the cases.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -49,8 +50,16 @@ class GrowthOrder:
 
 def growth_order(section, order: int | None = None,
                  start: float = TAIL_START) -> GrowthOrder:
-    """Componentwise max of the growth estimates of the coordinates on
-    the window [start * order, order]."""
+    """Growth estimates of the coordinates on the window [start * order,
+    order], indices >= 1 only.
+
+    value is the max of (-v(a_i) * ln p) / ln(i + 1), clamped at 0: the
+    log-growth order estimate.  Within a coordinate the first index
+    attaining it wins; across coordinates the later one wins ties.  lam
+    is the max of -v(a_i)/i, the linear growth rate in log_p units, None
+    when no determinate nonzero coefficient was seen.  An inexact zero
+    with v < 0 could hide either, so it makes the read indeterminate.
+    """
     if order is None:
         order = min(s.order for s in section)
     lo = max(int(start * order), 1)
@@ -59,13 +68,24 @@ def growth_order(section, order: int | None = None,
     lam = None
     indeterminate = False
     for ci, coord in enumerate(section):
-        prof = coord.growth_profile(lo, order)
-        indeterminate = indeterminate or prof.indeterminate
-        if prof.delta_attained is not None and prof.delta_hat >= value:
-            value = prof.delta_hat
-            attained = (ci, prof.delta_attained)
-        if prof.lam is not None and (lam is None or prof.lam > lam):
-            lam = prof.lam
+        lnp = math.log(coord.p)
+        best = 0.0
+        best_at = None
+        for i in range(lo, min(order, coord.order) + 1):
+            c = coord.coeffs[i]
+            if c.u == 0:
+                indeterminate = indeterminate or (c.exact is None and c.v < 0)
+                continue
+            li = Fraction(-c.v, i)
+            if lam is None or li > lam:
+                lam = li
+            di = (-c.v) * lnp / math.log(i + 1)
+            if di > best:
+                best = di
+                best_at = i
+        if best_at is not None and best >= value:
+            value = best
+            attained = (ci, best_at)
     return GrowthOrder(value, attained, lam, indeterminate, (lo, order))
 
 
@@ -74,7 +94,6 @@ class SectionReport:
     start: list[PadicNumber]
     section: list[TruncatedSeries]
     lam: Fraction | None
-    lam_late: Fraction | None
     verdict: str
     delta_hat: float
 
@@ -225,7 +244,7 @@ class DifferentialModule:
         verdict = _verdict(tail.lam)
         if verdict != INCONCLUSIVE and _verdict(late.lam) != verdict:
             verdict = INCONCLUSIVE
-        return SectionReport(start, section, tail.lam, late.lam, verdict, tail.value)
+        return SectionReport(start, section, tail.lam, verdict, tail.value)
 
     def _echelonize(self, reports: list[SectionReport],
                     order: int) -> tuple[list[SectionReport], int]:

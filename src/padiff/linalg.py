@@ -298,19 +298,13 @@ class SmithDecomposition:
         return D
 
 
-def _default_working_order(entries) -> int:
-    windows = [c.order for row in entries for c in row if not c.tail_exact]
-    if windows:
-        return min(windows)
-    maxdeg = max(c.order for row in entries for c in row)
-    return 4 * (maxdeg + 1)
-
-
 def smith_normal_form(A: SeriesMatrix, working_order: int | None = None) -> SmithDecomposition:
     p = A.p
     m, n = A.shape
     if working_order is None:
-        working_order = _default_working_order(A.entries)
+        working_order = A.max_known_order()
+    if working_order is None:
+        working_order = 4 * (max(c.order for row in A.entries for c in row) + 1)
     W = [[c for c in row] for row in A.entries]
     U = SeriesMatrix.identity(p, m).entries
     V = SeriesMatrix.identity(p, n).entries

@@ -258,7 +258,6 @@ class ModuleDescription:
     module: DifferentialModule
     expected: dict = field(default_factory=dict)
     orders: dict = field(default_factory=dict)
-    path: str | None = None
 
 
 _ORDER_KEYS = ("solve", "iterates")
@@ -284,4 +283,4 @@ def parse_module(path) -> ModuleDescription:
                                    % (key, orders[key], MAX_ORDER))
     except ModfileError as exc:
         raise ModfileError("%s: %s" % (path, exc)) from None
-    return ModuleDescription(name, module, expected, dict(orders), str(path))
+    return ModuleDescription(name, module, expected, dict(orders))

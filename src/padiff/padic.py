@@ -107,8 +107,7 @@ class PadicNumber:
     # constructors
 
     @classmethod
-    def from_rational(cls, numerator: int, denominator: int = 1,
-                      p: int = 2) -> "PadicNumber":
+    def from_rational(cls, numerator: int, denominator: int, p: int) -> "PadicNumber":
         """The exact value numerator/denominator.
 
         The rational value itself is retained (until it outgrows the

@@ -76,32 +76,6 @@ class GaussNorm:
     indeterminate: bool
 
 
-@dataclass(frozen=True)
-class GrowthProfile:
-    """Coefficient growth estimates over an index window.
-
-    lam        -- max of -v(a_i)/i, the linear growth rate in log_p units;
-                  None when no determinate nonzero coefficient was seen
-    delta_hat  -- max of (-v(a_i) * ln p) / ln(i + 1), clamped at 0; this
-                  estimates the log-growth order
-    """
-
-    lam: Fraction | None
-    delta_hat: float
-    lam_attained: int | None
-    delta_attained: int | None
-    indeterminate: bool
-
-
-@dataclass(frozen=True)
-class FilVerdict:
-    """Membership test for the log-growth filtration step delta."""
-
-    verdict: str          # "holds" | "fails" | "inconclusive"
-    log_sup: float
-    attained_at: int | None
-
-
 class TruncatedSeries:
     __slots__ = ("p", "coeffs", "tail_exact")
 
@@ -339,7 +313,7 @@ class TruncatedSeries:
         return TruncatedSeries(self.p, [x[0] for x in out], False)
 
     # ------------------------------------------------------------------
-    # norms and growth
+    # norms
 
     def gauss_norm(self, r: Fraction) -> GaussNorm:
         """sup norm on the closed disc of radius p**(-r), r >= 0."""
@@ -366,61 +340,6 @@ class TruncatedSeries:
         boundary = (not self.tail_exact) and attained == self.order
         return GaussNorm(None if best is None else Fraction(best, b), attained,
                          boundary, indeterminate)
-
-    def growth_profile(self, lo: int, hi: int) -> GrowthProfile:
-        """Growth estimates from coefficients lo..hi (indices >= 1 only)."""
-        hi = min(hi, self.order)
-        lo = max(lo, 1)
-        lam = None
-        lam_at = None
-        delta = 0.0
-        delta_at = None
-        indeterminate = False
-        lnp = math.log(self.p)
-        for i in range(lo, hi + 1):
-            c = self.coeffs[i]
-            if c.is_exact_zero:
-                continue
-            if c.u == 0:
-                if -c.v > 0:
-                    indeterminate = True
-                continue
-            li = Fraction(-c.v, i)
-            if lam is None or li > lam:
-                lam = li
-                lam_at = i
-            di = (-c.v) * lnp / math.log(i + 1)
-            if di > delta:
-                delta = di
-                delta_at = i
-        return GrowthProfile(lam, delta, lam_at, delta_at, indeterminate)
-
-    def fil_membership(self, delta: float, bound: float) -> FilVerdict:
-        """Is sup_i (|a_i| / (i+1)**delta) <= p**bound, judged on the window?
-
-        "fails" is definitive; "holds" additionally requires the sup to be
-        attained in the first three quarters of the window, so that the
-        tail cannot plausibly flip it.
-        """
-        hi = self.order
-        lnp = math.log(self.p)
-        sup = float("-inf")
-        attained = None
-        for i in range(hi + 1):
-            c = self.coeffs[i]
-            if c.is_exact_zero or c.u == 0:
-                continue
-            val = (-c.v) * lnp - delta * math.log(i + 1)
-            if val > sup:
-                sup = val
-                attained = i
-        if attained is None:
-            return FilVerdict("holds", float("-inf"), None)
-        if sup > bound * lnp + 1e-9:
-            return FilVerdict("fails", sup, attained)
-        if self.tail_exact or attained <= 0.75 * hi:
-            return FilVerdict("holds", sup, attained)
-        return FilVerdict("inconclusive", sup, attained)
 
     def __eq__(self, other):
         if not isinstance(other, TruncatedSeries):

@@ -173,8 +173,8 @@ def test_criterion_5_growth_bounds(sweep):
         capped = corpus.hypergeom_series_capped(p, WINDOW)
         for k, c in enumerate(capped):
             assert c.v == corpus.hypergeom_valuation_oracle(k, p)
-        prof = TruncatedSeries(p, capped, False).growth_profile(1, WINDOW)
-        assert prof.delta_hat == 0.0 and not prof.indeterminate
+        prof = growth_order([TruncatedSeries(p, capped, False)], WINDOW, start=0)
+        assert prof.value == 0.0 and not prof.indeterminate
     _line(5, "all %d verification verdicts PASS; hypergeometric kernel "
              "delta_hat 0 over 10^4 coefficients, valuations match the "
              "Legendre oracle at every index" % len(sweep))
@@ -190,7 +190,9 @@ def test_criterion_6_growth_estimator_calibration():
         harmonic = TruncatedSeries.from_rationals(
             p, [F(1)] + [F(1, i) for i in range(1, WINDOW + 1)],
             tail_exact=False)
-        d = harmonic.growth_profile(lo, WINDOW).delta_hat
+        read = growth_order([harmonic], WINDOW)
+        assert read.window == (lo, WINDOW)
+        d = read.value
         assert 0.9 <= d <= 1.1, "p=%d delta %.4f" % (p, d)
 
         # a polynomial section: the judged tail is all exact zeros
@@ -201,7 +203,9 @@ def test_criterion_6_growth_estimator_calibration():
         # exp-type: only the valuations matter, so capped units suffice
         coeffs = [PadicNumber.approximate(p, -factorial_valuation(i, p), 1, 1)
                   for i in range(WINDOW + 1)]
-        lam = TruncatedSeries(p, coeffs, False).growth_profile(lo, WINDOW).lam
+        read = growth_order([TruncatedSeries(p, coeffs, False)], WINDOW)
+        assert read.window == (lo, WINDOW)
+        lam = read.lam
         assert abs(lam * (p - 1) - 1) <= F(1, 10)
     _line(6, "harmonic delta_hat in [0.9, 1.1], polynomial exactly 0, "
              "exp-type lam within 10% of 1/(p-1), window 10^4, p in {3,5,7}")

@@ -1,6 +1,6 @@
-"""Guard against code that nothing in the package calls.
+"""Guard against code that nothing in the package calls or reads.
 
-Two checks.  The name scan: every top-level function, class and method
+Three checks.  The name scan: every top-level function, class and method
 in src/padiff must be named somewhere else in src/padiff.  A name counts
 as used when it appears as a bare name, an attribute, an imported name
 or an identifier-like string; uses inside the definition's own body
@@ -11,6 +11,13 @@ top-level function and method must be entered.  Dunders are exempt from
 both, since the language calls them.  The allowlist keeps the test
 helpers: oracles, accessors and comparison relations no production path
 needs, against which tests check the production code.
+
+The field scan: every dataclass field in src/padiff must be read as an
+attribute somewhere in src/padiff or in the benchmark's span recorder
+(perfbench/spans.py), which reads report fields the CLI does not.  Like
+the name scan it matches bare attribute names, so it cannot see a dead
+field whose name another attribute shares: a field named path would be
+hidden by os.path.  FIELD_ORACLES keeps the fields only a test reads.
 """
 
 import ast
@@ -54,6 +61,15 @@ ORACLES = {
 }
 
 
+# dataclass field -> a test that reads it; no production path does
+FIELD_ORACLES = {
+    "GaussNorm.attained_at": "test_series.py::test_gauss_norm_values",
+    "SmithDecomposition.valid_order":
+        "test_properties.py::test_snf_reconstruction_chain_unimodular",
+}
+SPANS = TESTS.parent / "perfbench" / "spans.py"
+
+
 def _names(node) -> Counter:
     out = Counter()
     for n in ast.walk(node):
@@ -94,6 +110,24 @@ def _unreferenced() -> list[str]:
         if uses[node.name] - _names(node)[node.name] <= 0:
             dead.append(qual)
     return dead
+
+
+def _is_dataclass(decorator) -> bool:
+    target = decorator.func if isinstance(decorator, ast.Call) else decorator
+    return getattr(target, "id", getattr(target, "attr", None)) == "dataclass"
+
+
+def _unread_fields() -> list[str]:
+    """Dataclass fields of src/padiff that no attribute load reads."""
+    trees = list(TREES.values()) + [ast.parse(SPANS.read_text(), filename=str(SPANS))]
+    reads = {n.attr for tree in trees for n in ast.walk(tree)
+             if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)}
+    return ["%s.%s" % (node.name, stmt.target.id)
+            for tree in TREES.values() for node in tree.body
+            if isinstance(node, ast.ClassDef) and any(map(_is_dataclass, node.decorator_list))
+            for stmt in node.body
+            if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
+            and stmt.target.id not in reads]
 
 
 # exp_small_p5 with its entry capped and known on a 100-coefficient window:
@@ -176,13 +210,28 @@ def test_every_definition_is_reached():
                       % ", ".join(dead))
 
 
+def _uses(test: str, name: str) -> bool:
+    fname, tname = test.split("::")
+    text = (TESTS / fname).read_text()
+    body = text[text.index("def %s(" % tname):]
+    nxt = body.find("\ndef ", 1)
+    body = body if nxt < 0 else body[:nxt]
+    return name in body
+
+
 def test_oracle_allowlist_is_current():
     for qual, test in ORACLES.items():
         # a helper that production code now runs needs no entry
         assert qual in _unreached(), "%s is reached from the CLI; drop it from ORACLES" % qual
-        fname, tname = test.split("::")
-        text = (TESTS / fname).read_text()
-        body = text[text.index("def %s(" % tname):]
-        nxt = body.find("\ndef ", 1)
-        body = body if nxt < 0 else body[:nxt]
-        assert qual.rsplit(".", 1)[-1] in body, "%s no longer uses %s" % (test, qual)
+        assert _uses(test, qual.rsplit(".", 1)[-1]), "%s no longer uses %s" % (test, qual)
+
+
+def test_every_dataclass_field_is_read():
+    unread = _unread_fields()
+    dead = [q for q in unread if q not in FIELD_ORACLES]
+    assert not dead, ("dataclass fields that nothing in src/padiff or perfbench/spans.py "
+                      "reads; delete them, or list them in FIELD_ORACLES with the test "
+                      "that reads them: %s" % ", ".join(dead))
+    for qual, test in FIELD_ORACLES.items():
+        assert qual in unread, "%s is read outside the tests; drop it from FIELD_ORACLES" % qual
+        assert _uses(test, qual.rsplit(".", 1)[-1]), "%s no longer reads %s" % (test, qual)

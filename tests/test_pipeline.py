@@ -8,6 +8,7 @@ zero branch.  Growth reads are pinned on series whose coefficient
 valuations are known exactly.
 """
 
+import math
 from dataclasses import replace
 from fractions import Fraction
 
@@ -17,6 +18,7 @@ from padiff.config import WorkbenchConfig
 from padiff.corpus import build
 from padiff.diffmod import H0Report
 from padiff.linalg import SeriesMatrix
+from padiff.padic import PadicNumber
 from padiff.pipeline import (
     NOT_APPLICABLE,
     PASS,
@@ -77,6 +79,29 @@ def test_growth_order_harmonic_tail():
     got = growth_order(section, order=2000)
     assert 0.9 <= got.value <= 1.1
     assert got.attained == (0, 625)
+
+
+def test_growth_order_tie_rules():
+    # each coordinate reads ln p / ln 2 at both i = 1 (v = -1) and
+    # i = 3 (v = -2): the later coordinate and the earlier index win
+    for p in (3, 5, 7):
+        coord = TruncatedSeries.from_rationals(p, [1, F(1, p), 1, F(1, p * p)],
+                                               tail_exact=False)
+        lnp = math.log(p)
+        assert 1 * lnp / math.log(2) == 2 * lnp / math.log(4)
+        got = growth_order([coord, coord], start=0)
+        assert got.attained == (1, 1)
+        assert got.lam == 1
+        assert got.window == (1, 3)
+        assert not got.indeterminate
+
+        # an inexact zero with v < 0 could be larger than any read
+        hidden = TruncatedSeries(p, coord.coeffs[:2] + [PadicNumber.inexact_zero(p, -1)]
+                                 + coord.coeffs[3:])
+        assert growth_order([coord, hidden], start=0).indeterminate
+        bounded = TruncatedSeries(p, coord.coeffs[:2] + [PadicNumber.inexact_zero(p, 0)]
+                                  + coord.coeffs[3:])
+        assert not growth_order([coord, bounded], start=0).indeterminate
 
 
 # ----------------------------------------------------------------------

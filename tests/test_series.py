@@ -2,7 +2,9 @@ from fractions import Fraction
 
 import pytest
 
+from padiff.diffmod import growth_order
 from padiff.padic import PadicNumber, PrecisionError
+from padiff.pipeline import _sup_settled
 from padiff.series import TruncatedSeries
 
 
@@ -152,31 +154,24 @@ def test_growth_profile_reciprocal_integers():
     # coefficients 1/i: the log-growth estimate approaches 1 near i = 5**3
     vals = [0] + [(1, i) for i in range(1, 131)]
     x = S(5, vals)
-    prof = x.growth_profile(1, 130)
+    prof = growth_order([x], 130, start=0)
     assert prof.lam == Fraction(1, 5)
-    assert prof.lam_attained == 5
-    assert 0.98 < prof.delta_hat < 1.0
-    assert prof.delta_attained == 125
+    assert 0.98 < prof.value < 1.0
+    assert prof.attained == (0, 125)
 
 
 def test_growth_profile_integral_coeffs():
     x = S(5, [1, 5, 25, 1, 1])
-    prof = x.growth_profile(1, 4)
+    prof = growth_order([x], 4, start=0)
     assert prof.lam == 0
-    assert prof.delta_hat == 0.0
+    assert prof.value == 0.0
 
 
 def test_fil_membership():
-    x = S(5, [1, 1, 1, 1])
-    v = x.fil_membership(delta=0.0, bound=0.0)
-    assert v.verdict == "holds"
-    y = S(5, [(1, 25), 1])
-    assert y.fil_membership(delta=0.0, bound=0.0).verdict == "fails"
+    assert _sup_settled(S(5, [1, 1, 1, 1]), 0.0)
     # window series with the sup at the edge cannot be certified
-    z = S(5, [25, 5, 1], tail_exact=False)
-    assert z.fil_membership(delta=0.0, bound=0.0).verdict == "inconclusive"
-    z2 = S(5, [25, 5, 1])
-    assert z2.fil_membership(delta=0.0, bound=0.0).verdict == "holds"
+    assert not _sup_settled(S(5, [25, 5, 1], tail_exact=False), 0.0)
+    assert _sup_settled(S(5, [25, 5, 1]), 0.0)
 
 
 def test_agrees():

@@ -11,8 +11,10 @@ PYTHONPATH picks the tree whose reports are written.  The runs:
   --order 120 --iterates 60;
 - radii on the same six modules with --rho 1 --rho-grid 3,5,9 added: an
   interior read at r = 0 and a three-point boundary fit;
-- verify-conjecture on the four bundled description files, and on
-  hypergeom_half_p5 at --iterates 64;
+- verify-conjecture at the default config (order 400, 200 iterates) on
+  the four bundled description files and on exp_small_p5 and ex44_p5,
+  whose exact routes (the full-branch inverse and the Taylor iterates)
+  then reach full size, and on hypergeom_half_p5 at --iterates 64;
 - corpus --jobs 2.
 
 Run NAME leaves NAME.json (its report without the timestamp key),
@@ -33,6 +35,7 @@ MODULES = ("ex44_p5", "dual_ex44_p5", "rank3_n2_p5", "exp_small_p5", "sum_exp_ca
            str(DESCRIPTIONS / "ex44.json"))
 SUBCOMMANDS = ("solve", "h0", "growth", "radii", "fprofile", "construct-l", "verify-dwork",
                "verify-conjecture")
+DEFAULT_MODULES = ("exp_small_p5", "ex44_p5")
 SMALL = ["--order", "120", "--iterates", "60"]
 EDGE = ["--rho", "1", "--rho-grid", "3,5,9"]
 
@@ -48,6 +51,8 @@ def runs():
         yield "radii-edge.%s" % stem, ["radii", module] + SMALL + EDGE
     for path in sorted(DESCRIPTIONS.glob("*.json")):
         yield "verify-conjecture.default.%s" % path.stem, ["verify-conjecture", str(path)]
+    for module in DEFAULT_MODULES:
+        yield "verify-conjecture.default.%s" % module, ["verify-conjecture", module]
     yield ("verify-conjecture.hypergeom_half_p5",
            ["verify-conjecture", "hypergeom_half_p5", "--iterates", "64"])
     yield "corpus", ["corpus", "--jobs", "2"]

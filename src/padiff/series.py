@@ -16,9 +16,9 @@ multiplied once (Kronecker substitution).  Coefficient k is known to
 A_k = min over its pairs of min(abs_x + v_y, v_x + abs_y), two min-plus
 convolutions, and is the packed value mod p**A_k: a capped sum is the
 true sum to the least precision of its terms, in any order.  Pairs of
-exact coefficients are summed one by one, as before, and settle the
-coefficients no other pair reaches.  The whole product is summed pair by
-pair instead when one of those sums is demoted, or when the operands'
+exact coefficients settle the coefficients no other pair reaches, in an
+exact run (_ExactRuns).  The whole product is summed pair by pair
+instead when one of those sums is demoted, or when the operands'
 valuations spread so far that the packed ints would be mostly zeros.
 Products of exact series always are, since their coefficients are
 rationals rather than digits.
@@ -27,7 +27,9 @@ An exact value caches its unit to DEFAULT_PRECISION digits, whatever
 produced it, so exact results do not depend on the order of the
 operations.  The one order-dependent event left is the demotion of a
 partial exact sum past DEMOTE_BITS: which partial sums exist, and so
-which are demoted, depends on the order of the additions.
+which are demoted, depends on the order of the additions.  A pairwise
+sum runs its exact pairs as integers (_ExactRuns), and demotes just what
+adding them one at a time would.
 
 Division, horizontal sections and regular solves are online recursions,
 all run by one driver, _online: output s is a finishing step applied to
@@ -37,14 +39,14 @@ and its finishing step.  The driver runs in blocks of BLOCK outputs when
 some operator coefficient is capped or an inexact zero and none is exact
 and nonzero.  A block's history, the pairs whose earlier output lies
 before it, is one packed product per operator entry; only in-block pairs
-are summed one by one.  Every pair then has a non-exact factor, so each
+are summed pairwise.  Every pair then has a non-exact factor, so each
 sum is the true sum mod p**A_k however the pairs are grouped, and no
 exact partial sum can be demoted.  Any other recursion is one block,
 whose pairs are subtracted in the order the caller lists them: that
 order is data, since it decides which partial exact sums are demoted.
-Blocking keeps the same pairs, so every v, unit and N is the pairwise
-loop's; Newton iteration would be faster asymptotically but
-would change the precision of the coefficients the reports print.
+Blocking and exact runs keep the pairwise fold, so every v, unit and N
+is the pairwise loop's; Newton iteration would be faster asymptotically
+but would change the precision of the coefficients the reports print.
 """
 
 from __future__ import annotations
@@ -56,7 +58,7 @@ from fractions import Fraction
 from itertools import islice
 from operator import add
 
-from padiff.padic import PadicNumber, PrecisionError, vp_int
+from padiff.padic import DEMOTE_BITS, PadicNumber, PrecisionError, vp_int
 
 
 @dataclass(frozen=True)
@@ -374,8 +376,8 @@ _SLOT_SLACK = 64
 
 def _product_loop(p: int, a: list[PadicNumber], b: list[PadicNumber], hi: int,
                   exact_only: bool, lo: int = 0) -> list[PadicNumber]:
-    """Coefficients lo..hi of a*b, summed pair by pair in index order;
-    those below lo are left at the exact zero.
+    """Coefficients lo..hi of a*b, each folding its pairs by ascending
+    index of a (_ExactRuns); those below lo are left at the exact zero.
 
     With exact_only, only pairs of exact nonzero coefficients are summed.
     """
@@ -386,14 +388,91 @@ def _product_loop(p: int, a: list[PadicNumber], b: list[PadicNumber], hi: int,
         xs = [(i, x) for i, x in enumerate(a) if not x.is_exact_zero]
         ys = [(j, y) for j, y in enumerate(b) if not y.is_exact_zero]
     js = [j for j, _ in ys]
-    out = [PadicNumber.exact_zero(p)] * (hi + 1)
+    sums = _ExactRuns(p, [PadicNumber.exact_zero(p)] * (hi + 1), 1)
+    add = sums.add
     for i, x in xs:
         jmax = hi - i
         for j, y in islice(ys, bisect_left(js, lo - i), None):
             if j > jmax:
                 break
-            out[i + j] = out[i + j] + x * y
-    return out
+            add(i + j, x, y)
+    return sums.values()
+
+
+class _ExactRuns:
+    """Slot k is the left fold out[k] = out[k] + x * y (- x * y when sign
+    is -1) over the pairs add receives, field for field.  While they are
+    exact, its sum is an integer numerator over the lcm of their
+    denominators, made a PadicNumber once, in values; one pair stays
+    x * y.  The fold demotes a pair product or partial sum whose reduced
+    form passes DEMOTE_BITS, so a gcd is due only when the unreduced one
+    does.  The run ends at such a demotion or at a capped or inexact-zero
+    factor, and PadicNumber operations sum the rest of the slot.
+    """
+
+    __slots__ = ("p", "out", "sign", "runs")
+
+    def __init__(self, p: int, start: list[PadicNumber], sign: int):
+        self.p = p
+        self.out = start        # each slot's value, unless it is in a run
+        self.sign = sign
+        self.runs: dict = {}    # slot -> (x, y), its one pair, or (num, den)
+
+    def add(self, k: int, x: PadicNumber, y: PadicNumber) -> None:
+        """Fold the pair product x * y of two nonzero values into slot k."""
+        if x.exact is not None and y.exact is not None:
+            run = self.runs.get(k)
+            if run is None:
+                z = self.out[k]
+                if z.exact is not None and not z.u:
+                    self.runs[k] = (x, y)
+                    return
+                run = None if z.exact is None else (z.exact.numerator, z.exact.denominator)
+            elif type(run[0]) is PadicNumber:
+                run = self._term(*run)
+            term = run and self._term(x, y)
+            if term:
+                (num, den), (n, d) = run, term
+                g = math.gcd(den, d)
+                num, den = num * (d // g) + n * (den // g), den // g * d
+                run = _reduced(num, den)
+                if run is None:
+                    # the partial sum is demoted, and the run ends capped
+                    self.runs.pop(k, None)
+                    self.out[k] = PadicNumber._from_exact(Fraction(num, den), self.p)
+                else:
+                    self.runs[k] = run
+                return
+        if k in self.runs:
+            self.out[k] = self._value(self.runs.pop(k))
+        z = self.out[k]
+        self.out[k] = z + x * y if self.sign > 0 else z - x * y
+
+    def values(self) -> list[PadicNumber]:
+        for k, run in self.runs.items():
+            self.out[k] = self._value(run)
+        return self.out
+
+    def _term(self, x: PadicNumber, y: PadicNumber) -> tuple[int, int] | None:
+        n = self.sign * x.exact.numerator * y.exact.numerator
+        return _reduced(n, x.exact.denominator * y.exact.denominator)
+
+    def _value(self, run) -> PadicNumber:
+        """The fold's value of a slot in this run."""
+        if type(run[0]) is PadicNumber:
+            z = run[0] * run[1]
+            return z if self.sign > 0 else -z
+        return PadicNumber._from_exact(Fraction(*run), self.p)
+
+
+def _reduced(num: int, den: int) -> tuple[int, int] | None:
+    """num/den, reduced if it passes DEMOTE_BITS; None if it still does."""
+    if num.bit_length() > DEMOTE_BITS or den.bit_length() > DEMOTE_BITS:
+        g = math.gcd(num, den)
+        num, den = num // g, den // g
+        if num.bit_length() > DEMOTE_BITS or den.bit_length() > DEMOTE_BITS:
+            return None
+    return num, den
 
 
 def _packed_product(p: int, a: list[PadicNumber], b: list[PadicNumber],
@@ -407,11 +486,11 @@ def _packed_product(p: int, a: list[PadicNumber], b: list[PadicNumber],
     pair products mod p**A_k whatever the order of the additions.  So the
     values come from one product of the operands' integer digits packed
     at a fixed slot width.  The other coefficients sum their exact pairs
-    in _product_loop.  None when one of those sums is demoted past
-    DEMOTE_BITS, since the demoted value's DEFAULT_PRECISION digits then
-    cap A_k and which partial sums are demoted depends on the order of the
-    additions; None too when a slot would span far more digits than any
-    coefficient knows.
+    in _product_loop's exact runs.  None when one of those sums is
+    demoted past DEMOTE_BITS, since the demoted value's DEFAULT_PRECISION
+    digits then cap A_k and which partial sums are demoted depends on the
+    order of the additions; None too when a slot would span far more
+    digits than any coefficient knows.
     """
     prec = _precision(a, b, hi, lo)
     live = [k for k, e in enumerate(prec) if e != math.inf]
@@ -507,15 +586,16 @@ def _online(p: int, ops, rhs, finish, out: list, count: int) -> list:
     online recursion, and return it.
 
     Output s is finish(s, r), where r_i = rhs(s, i) minus c * x_(s-d)[l]
-    for each triple (d >= 1, l, c) of ops[i] with d <= s, subtracted in
-    the order ops[i] lists them.  The outputs run in blocks of BLOCK when
-    some coefficient of ops is capped or an inexact zero and none is exact
-    and nonzero, else in one block.  An exact value caches
-    DEFAULT_PRECISION digits whatever produced it, but a partial exact sum
-    past DEMOTE_BITS is demoted, and which partial sums exist depends on
-    the order of the subtractions: one block keeps the caller's.  A block's history, the pairs whose
-    earlier output lies before it, is one packed product per operator
-    entry (i, l), or the pairwise loop when that declines.
+    for each triple (d >= 1, l, c) of ops[i] with d <= s, folded in the
+    order ops[i] lists them (_ExactRuns).  The outputs run in blocks of
+    BLOCK when some coefficient of ops is capped or an inexact zero and
+    none is exact and nonzero, else in one block.  An exact value caches
+    DEFAULT_PRECISION digits whatever produced it, but a partial exact
+    sum past DEMOTE_BITS is demoted, and which partial sums exist depends
+    on the order of the subtractions: one block keeps the caller's.  A
+    block's history, the pairs whose earlier output lies before it, is
+    one packed product per operator entry (i, l), or the pairwise loop
+    when that declines.
     """
     ops = [[t for t in triples if not t[2].is_exact_zero] for triples in ops]
     coeffs = [c for triples in ops for _, _, c in triples]
@@ -539,15 +619,13 @@ def _online(p: int, ops, rhs, finish, out: list, count: int) -> list:
                             or _product_loop(p, known[l], op, b1 - 2, False, b0 - 1))
                     history[i] = [x + y for x, y in zip(history[i], sums[b0 - 1:])]
         for s in range(max(b0, len(out)), b1):
-            r = []
+            sums = _ExactRuns(p, [rhs(s, i) - history[i][s - b0] for i in range(len(ops))], -1)
             for i, triples in enumerate(near):
-                acc = rhs(s, i) - history[i][s - b0]
                 for d, l, c in triples:
                     if s - d < b0:
                         continue
                     x = out[s - d][l]
                     if not x.is_exact_zero:
-                        acc = acc - c * x
-                r.append(acc)
-            out.append(finish(s, r))
+                        sums.add(i, c, x)
+            out.append(finish(s, sums.values()))
     return out

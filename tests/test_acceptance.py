@@ -13,7 +13,7 @@ from fractions import Fraction
 import pytest
 
 import test_properties
-from padiff import corpus
+from padiff import corpus, padic
 from padiff.config import WorkbenchConfig
 from padiff.diffmod import DifferentialModule
 from padiff.linalg import SeriesMatrix
@@ -250,20 +250,33 @@ def _matrices_agree(a, b) -> bool:
                for ra, rb in zip(a.entries, b.entries) for x, y in zip(ra, rb))
 
 
-def test_criterion_8_precision_doubling_differential():
+def _is_exact(module: DifferentialModule) -> bool:
+    return all(c.is_exact for row in module.matrix.entries for cell in row
+               for c in cell.coeffs)
+
+
+def test_criterion_8_precision_doubling_differential(monkeypatch):
+    # the high side of an exact entry caches 96 digits in every exact
+    # value, and so in every value demoted from one; that of a capped
+    # entry (the hypergeometric ones) builds its data to 96 digits
     checked = 0
     for name in corpus.names():
         low = corpus.build(name).module
-        high = corpus.build(name, precision=96).module
         h0_low = low.h0_basis(CFG_DIFF.order)
-        h0_high = high.h0_basis(CFG_DIFF.order)
+        rl = verify_conjecture(low, CFG_DIFF, h0=h0_low)
+        with monkeypatch.context() as patch:
+            if _is_exact(low):
+                patch.setattr(padic, "DEFAULT_PRECISION", 96)
+                high = corpus.build(name).module
+            else:
+                high = corpus.build(name, precision=96).module
+            h0_high = high.h0_basis(CFG_DIFF.order)
+            rh = verify_conjecture(high, CFG_DIFF, h0=h0_high)
         assert h0_low.dim == h0_high.dim, name
         for sec_l, sec_h in zip(h0_low.basis, h0_high.basis):
             for cl, ch in zip(sec_l, sec_h):
                 assert _series_agree(cl, ch), name
 
-        rl = verify_conjecture(low, CFG_DIFF, h0=h0_low)
-        rh = verify_conjecture(high, CFG_DIFF, h0=h0_high)
         assert rl.verdict == rh.verdict, name
         assert rl.delta_hats == rh.delta_hats, name
         assert rl.boundary.log_radii == rh.boundary.log_radii, name

@@ -244,6 +244,19 @@ def test_construct_exp_small_full_branch():
     assert d.theta_growth == 0.0
 
 
+def test_construct_exp_small_full_branch_default_config():
+    # the benchmark's full-branch route at order 400: theta = exp(5 t)
+    cfg = WorkbenchConfig()
+    w = construct_submodule(build("exp_small_p5").module, cfg)
+    d = w.diagnostics
+    assert d.branch == "full"
+    assert d.diagram_ok and d.ok
+    [[theta]] = w.theta.entries
+    assert theta.order == cfg.order
+    for k, c in enumerate(theta.coeffs):
+        assert c.exact == Fraction(5 ** k, math.factorial(k)), k
+
+
 def test_construct_hypergeom_full_branch_uncertified(hyp_h0):
     # the witness is the module itself; the det sup read drowns in the
     # capped precision and is reported as such, not raised

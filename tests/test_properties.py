@@ -32,7 +32,7 @@ from padiff.config import WorkbenchConfig
 from padiff.diffmod import DifferentialModule
 from padiff.linalg import (SeriesMatrix, field_solve, invert_regular, kernel_basis,
                            smith_normal_form, solve_regular)
-from padiff.padic import PadicNumber
+from padiff.padic import DEMOTE_BITS, PadicNumber
 from padiff.radii import RadiusWorkbench, omega_exponent
 from padiff.series import GaussNorm, TruncatedSeries
 
@@ -810,3 +810,108 @@ def test_recursions_block_only_over_non_exact_operators(monkeypatch):
     capped = corpus.hypergeom_half(5, window=order).module
     assert all(run_recursions(capped, order, calls)), calls
     assert not any(calls)
+
+
+# Each exit of an exact run, pinned: the product and the one-block divide
+# sum their exact pairs as integers and must still be the pairwise fold.
+# 3**1330 and 7**750 are coprime denominators of about 2,100 bits, so the
+# sum of their reciprocals passes DEMOTE_BITS while each alone does not;
+# X * X passes it too.
+D1, D2 = 3 ** 1330, 7 ** 750
+X = 7 ** 750 + 2
+
+
+def exact_series(values, tail_exact=True) -> TruncatedSeries:
+    return TruncatedSeries.from_rationals(5, values, tail_exact)
+
+
+def test_exact_run_sizes_straddle_the_demotion_limit():
+    assert Fraction(1, D1).denominator.bit_length() <= DEMOTE_BITS
+    assert Fraction(1, D2).denominator.bit_length() <= DEMOTE_BITS
+    assert (Fraction(1, D1) + Fraction(1, D2)).denominator.bit_length() > DEMOTE_BITS
+    assert X.bit_length() <= DEMOTE_BITS < (X * X).bit_length()
+
+
+def test_product_demotes_a_partial_sum_the_total_would_fit():
+    # coefficient 2 is 1/D1 + 1/D2 - 1/D2: the partial sum is demoted
+    f = exact_series([1, 1, -1])
+    g = exact_series([Fraction(1, D2), Fraction(1, D2), Fraction(1, D1)])
+    got = f * g
+    assert got == ref_mul(f, g)
+    assert got.coeffs[2].exact is None and got.coeffs[2].u
+
+
+def test_divide_demotes_a_partial_sum_the_total_would_fit():
+    # q = (1, 1, 1/D1): q_2 = f_2 - g_2 q_0 - g_1 q_1, and f_2 - g_2 q_0 is
+    # 1/D1 + 1/D2, which the fold demotes
+    f = exact_series([1, 1 + Fraction(1, D2), 1 + Fraction(1, D1)], False)
+    g = exact_series([1, Fraction(1, D2), 1 - Fraction(1, D2)])
+    got = f.divide(g, 2)
+    assert got == ref_divide(f, g, 2)
+    assert got.coeffs[2].exact is None and got.coeffs[2].u
+
+
+def test_product_demotes_a_pair_product():
+    # X * X first in its coefficient, and X * X after a run of two pairs;
+    # X * X = 1 mod 5, so each sum gains valuation and its N shows whether
+    # X * X alone was demoted
+    assert X * X % 5 == 1
+    for f, g, k in ((exact_series([X, -1]), exact_series([1, X]), 1),
+                    (exact_series([1, 1, X]), exact_series([X, 3, 1]), 2)):
+        got = f * g
+        assert got == ref_mul(f, g)
+        assert got.coeffs[k].exact is None and got.coeffs[k].v > 0
+    # (1/D1) * D1 + (1/D2) * D2 passes DEMOTE_BITS only unreduced, over
+    # the lcm D1 * D2 of the pairs' denominators: it stays exact
+    got = exact_series([Fraction(1, D1), Fraction(1, D2)]) * exact_series([D2, D1])
+    assert got.coeffs[1].exact == 2
+
+
+def test_divide_demotes_a_pair_product():
+    # q_1 = -X * q_0 is one big pair; q_2 = 1 - q_0 / 3 - X * q_1 meets
+    # X * X after a run of one pair
+    for f, g in ((exact_series([X, 0, 0], False), exact_series([1, X])),
+                 (exact_series([1, 0, 1], False), exact_series([1, X, Fraction(1, 3)]))):
+        got = f.divide(g, 2)
+        assert got == ref_divide(f, g, 2)
+        assert got.coeffs[2].exact is None
+
+
+def test_product_meets_a_capped_factor_mid_run():
+    # the valuation 600 spreads a packed slot past what the capped factor
+    # knows, so the product is summed pair by pair: coefficient 2 runs two
+    # exact pairs, then meets the capped one
+    p = 5
+    cap = PadicNumber.approximate(p, 0, 7, 5)
+    f = TruncatedSeries(p, [padic(Fraction(1, 3), p), padic(Fraction(1, 13), p), cap], True)
+    g = exact_series([Fraction(1, 2), Fraction(1, 11), 5 ** 600])
+    assert series_module._packed_product(p, f.coeffs, g.coeffs, 4) is None
+    got = f * g
+    assert got == ref_mul(f, g)
+    assert got.coeffs[2].exact is None
+
+
+def test_divide_meets_a_capped_factor_mid_run():
+    # q_2 is capped, so q_3 = -(g_3 q_0 + g_2 q_1 + g_1 q_2) runs two exact
+    # pairs, then meets it
+    p = 5
+    f = TruncatedSeries(p, [padic(Fraction(1), p), padic(Fraction(1, 2), p),
+                            PadicNumber.approximate(p, 0, 7, 5), padic(Fraction(0), p)], False)
+    g = exact_series([1, Fraction(1, 3), Fraction(1, 5), Fraction(1, 7)])
+    got = f.divide(g, 3)
+    assert got == ref_divide(f, g, 3)
+    assert got.coeffs[3].exact is None
+
+
+def test_product_and_divide_with_one_pair_per_coefficient():
+    f = exact_series([Fraction(1, 3), 0, Fraction(2, 7)])
+    g = exact_series([Fraction(5, 11)])
+    got = f * g
+    assert got == ref_mul(f, g)
+    assert all(c.exact is not None for c in got.coeffs)
+    # q_1 = -q_0 / 3 from the exact zero, q_2 = 1/2 - q_1 / 3 from 1/2
+    f = exact_series([1, 0, Fraction(1, 2)], False)
+    g = exact_series([1, Fraction(1, 3)])
+    got = f.divide(g, 2)
+    assert got == ref_divide(f, g, 2)
+    assert all(c.exact is not None for c in got.coeffs)

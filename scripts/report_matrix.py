@@ -15,6 +15,9 @@ PYTHONPATH picks the tree whose reports are written.  The runs:
   the four bundled description files and on exp_small_p5 and ex44_p5,
   whose exact routes (the full-branch inverse and the Taylor iterates)
   then reach full size, and on hypergeom_half_p5 at --iterates 64;
+- verify-conjecture on ex44_p5 at --iterates 400, where the scaled
+  integer Taylor iterates reach 1,462 bits: well past the default's,
+  still inside DEMOTE_BITS;
 - corpus --jobs 2.
 
 Run NAME leaves NAME.json (its report without the timestamp key),
@@ -55,6 +58,8 @@ def runs():
         yield "verify-conjecture.default.%s" % module, ["verify-conjecture", module]
     yield ("verify-conjecture.hypergeom_half_p5",
            ["verify-conjecture", "hypergeom_half_p5", "--iterates", "64"])
+    yield ("verify-conjecture.iterates400.ex44_p5",
+           ["verify-conjecture", "ex44_p5", "--iterates", "400"])
     yield "corpus", ["corpus", "--jobs", "2"]
 
 

@@ -12,6 +12,22 @@ basis columns with larger radii, and every proposal is re-verified
 against the raw iterates before it is accepted.  Sorted column radii
 are per-position lower bounds for the true multiset.
 
+When every entry of A is a polynomial with exact coefficients, the
+iterates are scaled integer polynomials N_s = D**s M_s, D the lcm of A's
+denominators: N_{s+1} = D N_s' - N_s (D A) on lists of ints, each entry
+as long as the series recursion makes it.  A tail read then needs only
+valuations, v(M_s[i]) = v_p(N_s[i]) - s v_p(D), taken once for every
+radius and only where one can raise the norm, and compared through Gauss
+norm's own integer key.  An iterate is made a SeriesMatrix, with the
+exact values the series recursion gives, only where it is asked for
+(kernel candidates and probes).  The integer recursion hands its last
+iterate to the series recursion at the first step where the bound
+bits(max |N_s|) + max(bits(max |D A|), bits(D * length)) + bits(term
+count), with D**(s+2), cannot show that every value that step forms
+stays within DEMOTE_BITS: past it the series recursion demotes what it
+demotes.  A matrix with a coefficient window or a capped coefficient
+keeps the series recursion throughout.
+
 One rule reads the multiset at a circle:
 
 * position 0 is the generic radius, read from every raw column;
@@ -31,13 +47,15 @@ r = 0 and checked by the fit.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add, mul, sub
 
 from padiff.config import WorkbenchConfig
 from padiff.diffmod import DifferentialModule
 from padiff.linalg import SeriesMatrix, kernel_basis
-from padiff.padic import PrecisionError
+from padiff.padic import DEMOTE_BITS, PadicNumber, PrecisionError, vp_int
 from padiff.series import TruncatedSeries
 
 _AUTO_ITERATE_WINDOW = 96
@@ -102,7 +120,12 @@ class IterateWindowError(ValueError):
 
 
 class PowerIterates:
-    """Taylor iterates of the horizontal frame of one module."""
+    """Taylor iterates of the horizontal frame of one module.
+
+    mats is the sequence M_0, ..., M_count (_Iterates): scaled integer
+    iterates made SeriesMatrix on demand, then those of the series
+    recursion.
+    """
 
     def __init__(self, module: DifferentialModule, count: int):
         self.module = module
@@ -117,18 +140,24 @@ class PowerIterates:
                 raise IterateWindowError(
                     "matrix window %d cannot support %d iterates" % (mat_window, count))
         self.window = window
-        mats = [SeriesMatrix.identity(p, module.rank)]
-        cur = mats[0]
-        for s in range(count):
+        if window is None and all(c.exact is not None for row in A.entries
+                                  for cell in row for c in cell.coeffs):
+            mats = _Iterates(p, *_scaled_iterates(A, count), [])
+        else:
+            mats = _Iterates(p, 1, [], [SeriesMatrix.identity(p, module.rank)])
+        # the series recursion, from the last scaled iterate if there is one
+        for s in range(len(mats) - 1, count):
+            cur = mats[s]
             nxt = cur.derive() - (cur @ A)
             if window is not None:
                 cap = window + (count - s)
                 nxt = nxt.map(lambda c: c.truncate(cap) if c.order > cap else c)
-            mats.append(nxt)
-            cur = nxt
+            mats.built.append(nxt)
         self.mats = mats
+        self._records: dict[int, list] | None = None
         self._column_betas: dict = {}
         self._candidates: list[list[TruncatedSeries]] | None = None
+        self._probe_images: dict = {}
 
     def tail_range(self) -> range:
         lo = max(int(self.count * _TAIL_FRAC), 1)
@@ -150,24 +179,72 @@ class PowerIterates:
         return best, tuple(sorted(flags))
 
     def column_beta(self, r: Fraction, j: int):
-        """(beta, zero_certified, flags) of column j; read once per radius."""
+        """(beta, zero_certified, flags) of column j; read once per radius.
+
+        A scaled tail iterate is read from its valuation records, a built
+        one by Gauss norms.
+        """
         if (r, j) not in self._column_betas:
-            reads = ((s, self.mats[s].column(j)) for s in self.tail_range())
-            self._column_betas[r, j] = _beta(reads, r)
+            scaled = len(self.mats.ints)
+            tail = self.tail_range()
+            records = self._valuation_records()
+            norms = [_record_norm(s, records[s][j], r) for s in tail if s < scaled]
+            norms += [_series_norm(s, self.mats[s].column(j), r) for s in tail if s >= scaled]
+            self._column_betas[r, j] = _beta(norms)
         return self._column_betas[r, j]
+
+    def _valuation_records(self) -> dict[int, list]:
+        """Per scaled tail iterate s and column j, the (i, -v) of its
+        coefficients (index i, valuation v) that a Gauss norm can attain
+        at some r >= 0: each -v beats every one at a smaller index.
+
+        Read once, for every radius: a coefficient that p**v divides, v
+        the least valuation at smaller indices, cannot beat them, and
+        only the others have their valuation computed.
+        """
+        if self._records is None:
+            p, ints = self.module.p, self.mats.ints
+            vD = vp_int(self.mats.D, p)
+            self._records = {}
+            for s in self.tail_range():
+                if s >= len(ints):
+                    break
+                rows = ints[s]
+                cols = []
+                for j in range(len(rows)):
+                    cells = [row[j] for row in rows]
+                    record, p_least = [], None
+                    for i in range(max(map(len, cells))):
+                        for cell in cells:
+                            n = cell[i] if i < len(cell) else 0
+                            if n and (p_least is None or n % p_least):
+                                v = vp_int(n, p)
+                                if record and record[-1][0] == i:
+                                    record.pop()
+                                record.append((i, s * vD - v))
+                                p_least = p ** v
+                    cols.append(record)
+                self._records[s] = cols
+        return self._records
 
     def vector_beta_probes(self, r: Fraction, vec: list[TruncatedSeries]):
         """beta of a combined column, sampled at a few late iterates.
 
         Enough for replacement decisions: a surviving candidate is
         either exactly annihilated at every probe (certifiable) or kept
-        only as an estimate by the caller.
+        only as an estimate by the caller.  The probe images of a vector
+        are computed once, for every radius.
         """
-        count = self.count
-        probes = sorted({count, count - 1, count - 2,
-                         max(3 * count // 4, 1), max(count // 2, 1)})
-        return _beta(((s, self.mats[s].matvec(vec)) for s in probes if s >= 1),
-                     r, {"probes_only"})
+        key = id(vec)
+        if key not in self._probe_images:
+            count = self.count
+            probes = sorted({count, count - 1, count - 2,
+                             max(3 * count // 4, 1), max(count // 2, 1)})
+            # the vector rides along, so that its id stays its own
+            self._probe_images[key] = vec, [(s, self.mats[s].matvec(vec))
+                                            for s in probes if s >= 1]
+        images = self._probe_images[key][1]
+        return _beta([_series_norm(s, image, r) for s, image in images], {"probes_only"})
 
     def kernel_candidates(self) -> list[list[TruncatedSeries]]:
         """Kernel vectors of a stack of late iterates, truncated low.
@@ -190,6 +267,104 @@ class PowerIterates:
                     pass
             self._candidates = [_polynomial_lift(vec) for vec in raw]
         return self._candidates
+
+
+class _Iterates:
+    """M_0, ..., M_count as a sequence of SeriesMatrix.
+
+    The first ones are scaled integer iterates N_s = D**s * M_s, each
+    entry a list of integer coefficients, made a SeriesMatrix only when
+    asked for (and kept); the rest were built by the series recursion.
+    """
+
+    def __init__(self, p: int, D: int, ints: list, built: list):
+        self.p = p
+        self.D = D
+        self.ints = ints
+        self.built = built
+        self._made: dict[int, SeriesMatrix] = {}
+
+    def __len__(self) -> int:
+        return len(self.ints) + len(self.built)
+
+    def __getitem__(self, s: int) -> SeriesMatrix:
+        if s < 0:
+            s += len(self)
+        if not 0 <= s < len(self):
+            raise IndexError("iterate %d out of range" % s)
+        if s >= len(self.ints):
+            return self.built[s - len(self.ints)]
+        if s not in self._made:
+            p, scale = self.p, self.D ** s
+            self._made[s] = SeriesMatrix(p, [[TruncatedSeries(
+                p, [PadicNumber._from_exact(Fraction(n, scale), p) for n in cell], True)
+                for cell in row] for row in self.ints[s]])
+        return self._made[s]
+
+    def __iter__(self):
+        return (self[s] for s in range(len(self)))
+
+
+def _scaled_iterates(A: SeriesMatrix, count: int) -> tuple[int, list]:
+    """(D, [N_0, ..., N_S]) for an all-exact polynomial A, with D the lcm
+    of its denominators.
+
+    N_(s+1) = D * N_s' - N_s * (D * A) on integer coefficient lists, each
+    entry as long as the series recursion makes it.  The recursion stops
+    at the first S < count where a bound cannot show that no value the
+    series recursion would form from M_S (a term D * i * N_S[i], a pair
+    product N_S[a] * (D * A)[b], a partial sum of those, all over at most
+    D**(S + 1)) passes DEMOTE_BITS; M_S then goes on by that recursion,
+    which demotes what it demotes.
+    """
+    m = A.shape[0]
+    exact = [[[c.exact for c in cell.coeffs] for cell in row] for row in A.entries]
+    D = math.lcm(*(q.denominator for row in exact for cell in row for q in cell))
+    # the nonzero (degree, coefficient) terms of D * A, and each entry's length
+    terms = [[[(e, q.numerator * (D // q.denominator)) for e, q in enumerate(cell) if q]
+              for cell in row] for row in exact]
+    lens = [[len(cell) for cell in row] for row in exact]
+    da_bits = max((abs(b).bit_length() for row in terms for cell in row for _, b in cell),
+                  default=0)
+    # pairs reaching one coefficient, plus its derivative term
+    term_bits = (1 + m * max(len(cell) for row in terms for cell in row)).bit_length()
+    cur = [[[1] if i == j else [0] for j in range(m)] for i in range(m)]
+    out = [cur]
+    scale = D * D
+    for s in range(count):
+        width = max(len(cell) for row in cur for cell in row)
+        bits = max(max(map(int.bit_length, cell)) for row in cur for cell in row)
+        if (bits + max(da_bits, (D * width).bit_length()) + term_bits > DEMOTE_BITS
+                or scale.bit_length() > DEMOTE_BITS):
+            break
+        cur = [[_scaled_step(row, j, terms, lens, D) for j in range(m)] for row in cur]
+        out.append(cur)
+        scale *= D
+    return D, out
+
+
+def _scaled_step(row: list, j: int, terms, lens, D: int) -> list:
+    """Entry j of D * N' - N * (D * A) in the row of N given, as long as
+    the series recursion makes it: a derivative one shorter (a constant's
+    is the constant 0), a product of lengths la + lb - 1, a sum as long as
+    its longer operand; the matrix product skips zero series."""
+    cell = row[j]
+    out = list(map(mul, cell[1:], range(D, D * len(cell), D))) or [0]
+    parts = [(a, terms[l][j], len(a) + lens[l][j] - 1)
+             for l, a in enumerate(row) if terms[l][j] and any(a)]
+    width = max((n for _, _, n in parts), default=1)
+    out += [0] * (width - len(out))
+    for a, pairs, _ in parts:
+        k = len(a)
+        for e, b in pairs:
+            seg = out[e:e + k]
+            if b == 1:
+                out[e:e + k] = map(sub, seg, a)
+            elif b == -1:
+                out[e:e + k] = map(add, seg, a)
+            else:
+                out[e:e + k] = [y - b * x for y, x in zip(seg, a)]
+    return out
 
 
 def _polynomial_lift(vec: list[TruncatedSeries],
@@ -215,28 +390,28 @@ def _polynomial_lift(vec: list[TruncatedSeries],
     return out
 
 
-def _beta(reads, r: Fraction, flags=()):
-    """(beta, all_zero, flags) over (s, vector) reads: beta is the max
-    of log_p |w_s|_rho / s, and all_zero holds when every vector
+def _beta(norms, flags=()):
+    """(beta, all_zero, flags) over (s, g, vanished, flags) norm reads:
+    beta is the max of g / s, g = log_p |w_s|_rho (None when w_s has no
+    determinate nonzero coefficient), and all_zero holds when every w_s
     vanished exactly."""
     best = None
     flags = set(flags)
     all_zero = True
-    for s, vec in reads:
-        g, fl = _vector_norm(vec, r)
+    for s, g, vanished, fl in norms:
         flags.update(fl)
+        if not vanished:
+            all_zero = False
         if g is None:
-            if any(not c.is_zero_series() for c in vec):
-                all_zero = False
             continue
-        all_zero = False
         val = Fraction(g, s)
         if best is None or val > best:
             best = val
     return best, all_zero, tuple(sorted(flags))
 
 
-def _vector_norm(vec: list[TruncatedSeries], r: Fraction):
+def _series_norm(s: int, vec: list[TruncatedSeries], r: Fraction):
+    """The norm read of a vector of series, by their Gauss norms."""
     best = None
     flags = set()
     for cell in vec:
@@ -247,7 +422,16 @@ def _vector_norm(vec: list[TruncatedSeries], r: Fraction):
             flags.add("window_edge")
         if g.exponent is not None and (best is None or g.exponent > best):
             best = g.exponent
-    return best, flags
+    return s, best, best is None and all(c.is_zero_series() for c in vec), flags
+
+
+def _record_norm(s: int, record: list[tuple[int, int]], r: Fraction):
+    """The norm read of a scaled iterate's column from its valuation
+    record, by TruncatedSeries.gauss_norm's integer key -v * b - a * i at
+    r = a/b; its coefficients are exact, so no flag can arise."""
+    a, b = r.numerator, r.denominator
+    key = max((w * b - a * i for i, w in record), default=None)
+    return s, None if key is None else Fraction(key, b), key is None, ()
 
 
 def _capped_radius(p: int, r: Fraction, log_beta: Fraction | None) -> Fraction:

@@ -2,22 +2,28 @@
 
 Expected values were computed by hand: the Taylor iterates of the rank
 two modules and the capped radii of the rank one modules have closed
-forms.
+forms.  The scaled integer iterates and their reads are checked against
+the series recursion, kept here as the reference loop.
 """
 
+import json
 from fractions import Fraction
 from itertools import combinations_with_replacement
 
 import pytest
 
+from padiff import cli, radii
 from padiff.config import WorkbenchConfig
 from padiff.corpus import build, names
-from padiff.linalg import SeriesMatrix
+from padiff.diffmod import DifferentialModule
+from padiff.linalg import SeriesMatrix, kernel_basis
+from padiff.padic import DEMOTE_BITS, PrecisionError
 from padiff.radii import (
     ColumnRadius,
     PowerIterates,
     RadiusWorkbench,
     _extrapolate,
+    _polynomial_lift,
     omega_exponent,
 )
 from padiff.series import TruncatedSeries
@@ -73,9 +79,30 @@ def test_iterate_count_beyond_window_rejected():
 
 
 def test_tail_entries_read_once_per_radius(monkeypatch):
-    # matrix_beta and every column_beta share one Gauss norm read per
-    # tail entry and radius
+    # matrix_beta and every column_beta share one read of the scaled tail
+    # for all radii: valuations are taken at the first radius only, at
+    # most one per nonzero tail coefficient (and one of D)
     it = PowerIterates(build("ex44_p5").module, 40)
+    valuations = []
+    real = radii.vp_int
+    monkeypatch.setattr(radii, "vp_int", lambda n, p: valuations.append(n) or real(n, p))
+    taken = []
+    for r in (F(1, 4), F(1, 8)):
+        top, _ = it.matrix_beta(r)
+        cols = [it.column_beta(r, j)[0] for j in range(2)]
+        assert top == max(cols)
+        it.matrix_beta(r)
+        taken.append(len(valuations))
+    nonzero = [x for s in it.tail_range() for row in it.mats[s].entries
+               for c in row for x in c.coeffs if not x.is_exact_zero]
+    assert taken[0] == taken[1]
+    assert 2 * len(it.tail_range()) < taken[0] <= len(nonzero) + 1
+
+
+def test_capped_tail_entries_read_once_per_radius(monkeypatch):
+    # a capped module's iterates are read by one Gauss norm per tail
+    # entry and radius
+    it = PowerIterates(build("hypergeom_half_p5").module, 30)
     reads = []
     real = TruncatedSeries.gauss_norm
     monkeypatch.setattr(TruncatedSeries, "gauss_norm",
@@ -86,6 +113,142 @@ def test_tail_entries_read_once_per_radius(monkeypatch):
         assert top == max(cols)
         it.matrix_beta(r)
     assert len(reads) == 2 * len(it.tail_range()) * 4
+
+
+# ----------------------------------------------------------------------
+# scaled integer iterates against the series recursion
+
+
+def reference_iterates(module, count):
+    """The series recursion M_(s+1) = M_s' - M_s A, with no window."""
+    A = module.matrix
+    mats = [SeriesMatrix.identity(module.p, module.rank)]
+    for _ in range(count):
+        cur = mats[-1]
+        mats.append(cur.derive() - cur @ A)
+    return mats
+
+
+def reference_beta(reads, r, flags=()):
+    """(beta, all_zero, flags) of (s, vector) reads by Gauss norms."""
+    best, all_zero, flags = None, True, set(flags)
+    for s, vec in reads:
+        norms = [c.gauss_norm(r) for c in vec]
+        flags.update(name for g in norms for name, on in
+                     (("indeterminate", g.indeterminate), ("window_edge", g.boundary)) if on)
+        exps = [g.exponent for g in norms if g.exponent is not None]
+        if not exps:
+            all_zero = all_zero and all(c.is_zero_series() for c in vec)
+            continue
+        all_zero = False
+        val = max(exps) / s
+        best = val if best is None or val > best else best
+    return best, all_zero, tuple(sorted(flags))
+
+
+RADII = (F(0), F(1), F(1, 3), F(1, 4), F(1, 8), F(1, 16), F(1, 32))
+
+
+def assert_matches_reference(module, count):
+    it = PowerIterates(module, count)
+    ref = reference_iterates(module, count)
+    assert len(it.mats) == len(ref)
+    for got, want in zip(it.mats, ref):
+        assert got.entries == want.entries, module.label
+    tail = it.tail_range()
+    for r in RADII:
+        cols = [reference_beta(((s, ref[s].column(j)) for s in tail), r)
+                for j in range(module.rank)]
+        assert [it.column_beta(r, j) for j in range(module.rank)] == cols, (module.label, r)
+        top = max((c[0] for c in cols if c[0] is not None), default=None)
+        assert it.matrix_beta(r) == (top, tuple(sorted({f for c in cols for f in c[2]})))
+    picks = [count - d for d in range(3) if count - d >= 1]
+    stack = SeriesMatrix.vstack([ref[s] for s in picks]).map(
+        lambda c: c.truncate(16) if c.order > 16 else c)
+    try:
+        raw = kernel_basis(stack, working_order=16)
+    except (PrecisionError, ValueError):
+        raw = []
+    candidates = [_polynomial_lift(vec) for vec in raw]
+    assert it.kernel_candidates() == candidates, module.label
+    probes = sorted({count, count - 1, count - 2, 3 * count // 4, count // 2})
+    # the basis vectors as well: images differ from vector to vector
+    basis = [[TruncatedSeries.one(module.p) if i == j else TruncatedSeries.zero(module.p)
+              for i in range(module.rank)] for j in range(module.rank)]
+    for vec in candidates + basis:
+        for r in RADII:
+            want = reference_beta(((s, ref[s].matvec(vec)) for s in probes), r, {"probes_only"})
+            assert it.vector_beta_probes(r, vec) == want, (module.label, r)
+    return it
+
+
+def test_scaled_iterates_match_series_recursion():
+    # every all-exact corpus module and its dual, field for field
+    covered = []
+    for name in names():
+        module = build(name).module
+        A = module.matrix
+        if A.max_known_order() is not None or any(
+                c.exact is None for row in A.entries for cell in row for c in cell.coeffs):
+            continue
+        for m in (module, module.dual()):
+            it = assert_matches_reference(m, 60)
+            assert len(it.mats.ints) == 61
+        covered.append(name)
+    assert {"ex44_p5", "dual_ex44_p5", "rank3_n2_p5", "sum_exp_cancel_p5"} <= set(covered)
+
+
+def test_scaled_iterates_with_denominators():
+    # D = 30 and v_5(D) = 1: the scaled iterates carry a power of p
+    A = SeriesMatrix.from_rational_rows(5, [[[0], [F(-1, 2)]], [[F(1, 3)], [0, F(-1, 5)]]])
+    it = assert_matches_reference(DifferentialModule(A, "denominators"), 60)
+    assert it.mats.D == 30
+
+
+def _count_matmuls(monkeypatch):
+    calls = []
+    real = SeriesMatrix.__matmul__
+    monkeypatch.setattr(SeriesMatrix, "__matmul__",
+                        lambda self, other: calls.append(1) or real(self, other))
+    return calls
+
+
+def test_scaled_iterates_hand_over_before_a_demotion(monkeypatch):
+    # N_3 = -2**4200 passes DEMOTE_BITS: the series recursion takes over
+    # from M_2 and demotes M_3's product itself
+    c = 2 ** 1400
+    module = DifferentialModule(SeriesMatrix.from_rational_rows(5, [[[c]]]), "huge")
+    calls = _count_matmuls(monkeypatch)
+    it = assert_matches_reference(module, 6)
+    assert len(it.mats.ints) == 3
+    assert len(calls) == 6 - 2 + 6      # the handover's steps, then the reference's
+    assert it.mats[2].entries[0][0].coeffs[0].exact == c ** 2
+    big = it.mats[3].entries[0][0].coeffs[0]
+    assert big.exact is None and (c ** 3).bit_length() > DEMOTE_BITS
+
+
+LOG_MODULE = {"format": "padiff-module-v1", "name": "logmod", "prime": 3, "rank": 2,
+              "matrix": [["0", {"coefficients": ["-1"] * 400, "tail_exact": False}],
+                         ["0", "0"]]}
+
+
+def test_windowed_exact_module_keeps_the_series_recursion(monkeypatch, tmp_path, capsys):
+    # a coefficient window, exact or not, keeps the series recursion; the
+    # radii report of A = [[0, -1/(1-t)], [0, 0]] is pinned as it reads
+    # through that recursion
+    path = tmp_path / "logmod.json"
+    path.write_text(json.dumps(LOG_MODULE))
+    calls = _count_matmuls(monkeypatch)
+    assert cli.main(["radii", str(path), "--out", str(tmp_path / "out.json")]) == 0
+    assert len(calls) == 200
+    assert capsys.readouterr().out.splitlines() == [
+        "logmod: boundary log_p radii 0, 0",
+        "  provenance columns, columns; residual ok True; solvable rank 2",
+        "  r=1/4: -1/4, -1/4",
+        "  r=1/8: -1/8, -1/8",
+        "  r=1/16: -1/16, -1/16",
+        "  r=1/32: -1/27, -1/32",
+    ]
 
 
 # ----------------------------------------------------------------------

@@ -22,7 +22,6 @@ import math
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict
 from datetime import datetime, timezone
 from fractions import Fraction
@@ -70,14 +69,15 @@ def _dec(x) -> str | None:
     return repr(float(x))
 
 
-def _poly_str(series, terms: int = 4) -> str:
+def _poly_str(series) -> str:
+    """The first four nonzero terms, then an ellipsis."""
     parts = []
     for k, c in enumerate(series.coeffs):
         if c.is_zeroish:
             continue
         val = str(c.exact) if c.is_exact else str(c)
         parts.append(val if k == 0 else "%s*t^%d" % (val, k))
-        if len(parts) == terms:
+        if len(parts) == 4:
             parts.append("...")
             break
     return " + ".join(parts) if parts else "0"
@@ -583,6 +583,8 @@ def cmd_corpus(args, cfg) -> tuple[dict, int]:
     # the pool forks every worker up front, so never more than can be busy
     workers = min(cfg.jobs, len(selected), os.cpu_count() or 1)
     if workers > 1:
+        # imported here, so that a run without a pool does not pay for it
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_corpus_job, payloads))
     else:

@@ -15,8 +15,7 @@ from functools import partial
 
 from padiff.diffmod import DifferentialModule
 from padiff.linalg import SeriesMatrix
-from padiff.padic import (DEFAULT_PRECISION, PadicNumber, factorial_valuation, unit_digits,
-                          vp_fraction)
+from padiff.padic import DEFAULT_PRECISION, PadicNumber, unit_digits, vp_fraction
 from padiff.series import TruncatedSeries
 
 HYPERGEOM_WINDOW = 420
@@ -107,26 +106,6 @@ def hypergeom_coefficients(order: int):
     for k in range(order):
         step = Fraction(2 * k + 1, 2 * k + 2) ** 2
         out.append(out[-1] * step)
-    return out
-
-
-def hypergeom_valuation_oracle(k: int, p: int) -> int:
-    """v_p of the k-th coefficient via Legendre's formula (odd p)."""
-    return 2 * (factorial_valuation(2 * k, p) - 2 * factorial_valuation(k, p))
-
-
-def hypergeom_series_capped(p: int, order: int,
-                            precision: int = DEFAULT_PRECISION) -> list[PadicNumber]:
-    """The same coefficients in capped arithmetic, O(1) per step.
-
-    Valuations stay exact under capped multiplication, which is what the
-    long-window growth measurements need.
-    """
-    a = PadicNumber.approximate(p, 0, 1, precision)
-    out = [a]
-    for k in range(order):
-        a = a * _capped(Fraction((2 * k + 1) ** 2, (2 * k + 2) ** 2), p, precision)
-        out.append(a)
     return out
 
 

@@ -4,8 +4,8 @@ Two layers live here.  The field layer does Gaussian elimination on
 matrices of ``PadicNumber`` with largest-norm pivoting; an undetermined
 rank raises ``PrecisionError`` instead of guessing.  The series layer
 diagonalises matrices over Q_p[[t]] truncated at a working order: a
-Smith normal form with monomial divisors t**e, the transforms kept so
-kernels come with reconstruction certificates, and coefficient-wise
+Smith normal form that keeps only its column transform V and divisor
+exponents e of t**e, so kernels are columns of V, and coefficient-wise
 regular solves against frames invertible at t = 0.
 """
 
@@ -141,9 +141,10 @@ class SeriesMatrix:
     # -- constructors ---------------------------------------------------
 
     @classmethod
-    def from_rational_rows(cls, p: int, rows, tail_exact: bool = True) -> "SeriesMatrix":
-        """rows[i][j] is a coefficient list (ints, Fractions or pairs)."""
-        entries = [[TruncatedSeries.from_rationals(p, cell, tail_exact) for cell in row]
+    def from_rational_rows(cls, p: int, rows) -> "SeriesMatrix":
+        """rows[i][j] is a coefficient list (ints, Fractions or pairs) of a
+        polynomial."""
+        entries = [[TruncatedSeries.from_rationals(p, cell) for cell in row]
                    for row in rows]
         return cls(p, entries)
 
@@ -168,20 +169,8 @@ class SeriesMatrix:
     def shape(self) -> tuple[int, int]:
         return len(self.entries), len(self.entries[0]) if self.entries else 0
 
-    def entry(self, i: int, j: int) -> TruncatedSeries:
-        return self.entries[i][j]
-
     def column(self, j: int) -> list[TruncatedSeries]:
         return [row[j] for row in self.entries]
-
-    def agrees(self, other: "SeriesMatrix") -> bool:
-        if self.shape != other.shape:
-            return False
-        return all(a.agrees(b) for ra, rb in zip(self.entries, other.entries)
-                   for a, b in zip(ra, rb))
-
-    def is_zero(self) -> bool:
-        return all(c.is_zero_series() for row in self.entries for c in row)
 
     # -- arithmetic -------------------------------------------------------
 
@@ -272,33 +261,23 @@ def _laplace(p: int, entries: list[list[TruncatedSeries]]) -> TruncatedSeries:
 
 @dataclass
 class SmithDecomposition:
-    """U @ A @ V == diag(divisors) through order valid_order.
+    """A @ V, with V unimodular: below the rank, column j has least
+    t-order exponents[j]; past the rank, the columns vanish through order
+    working_order - sum(exponents).
 
-    divisors are monic monomials t**e, or the zero series for blocks
-    that vanish at the truncation order.  ``certified`` is True only
-    when every rank decision was made on exact coefficients.
+    exponents are the e of the divisors t**e, ascending, and None for a
+    block that vanishes at the truncation order.  ``certified`` is True
+    only when every rank decision was made on exact coefficients.
     """
 
-    U: SeriesMatrix
     V: SeriesMatrix
-    divisors: list[TruncatedSeries]
     exponents: list[int | None]
-    valid_order: int
     certified: bool
-
-    @property
-    def rank(self) -> int:
-        return sum(1 for e in self.exponents if e is not None)
-
-    def diagonal_matrix(self, m: int, n: int) -> SeriesMatrix:
-        p = self.U.p
-        D = SeriesMatrix.zero(p, m, n)
-        for k, d in enumerate(self.divisors):
-            D.entries[k][k] = d
-        return D
 
 
 def smith_normal_form(A: SeriesMatrix, working_order: int | None = None) -> SmithDecomposition:
+    """Column transform V of a Smith normal form U @ A @ V; the row
+    operations act on the working copy only, so U is never built."""
     p = A.p
     m, n = A.shape
     if working_order is None:
@@ -306,12 +285,10 @@ def smith_normal_form(A: SeriesMatrix, working_order: int | None = None) -> Smit
     if working_order is None:
         working_order = 4 * (max(c.order for row in A.entries for c in row) + 1)
     W = [[c for c in row] for row in A.entries]
-    U = SeriesMatrix.identity(p, m).entries
     V = SeriesMatrix.identity(p, n).entries
     certified = True
     valid = working_order
     exponents: list[int | None] = []
-    divisors: list[TruncatedSeries] = []
 
     for k in range(min(m, n)):
         # pivot: least order of vanishing, then largest leading coefficient
@@ -334,7 +311,6 @@ def smith_normal_form(A: SeriesMatrix, working_order: int | None = None) -> Smit
         bi, bj = best_pos
         if bi != k:
             W[k], W[bi] = W[bi], W[k]
-            U[k], U[bi] = U[bi], U[k]
         if bj != k:
             for row in W:
                 row[k], row[bj] = row[bj], row[k]
@@ -353,7 +329,6 @@ def smith_normal_form(A: SeriesMatrix, working_order: int | None = None) -> Smit
                 continue
             f = W[i][k].divide(pivot, order=valid_next)
             W[i] = [a - f * b for a, b in zip(W[i], W[k])]
-            U[i] = [a - f * b for a, b in zip(U[i], U[k])]
         for j in range(k + 1, n):
             if W[k][j].t_order_info()[0] is None:
                 continue
@@ -362,31 +337,18 @@ def smith_normal_form(A: SeriesMatrix, working_order: int | None = None) -> Smit
                 row[j] = row[j] - g * row[k]
             for row in V:
                 row[j] = row[j] - g * row[k]
-        # make the divisor a monic monomial; the unit moves into U
-        unit = TruncatedSeries(p, pivot.coeffs[e:], pivot.tail_exact)
-        if not (unit.tail_exact and all(c.is_exact_zero for c in unit.coeffs[1:])):
-            inv_unit = unit.invert(order=valid_next)
-            U[k] = [inv_unit * c for c in U[k]]
-        else:
-            inv0 = PadicNumber.from_int(1, p) / unit.coeffs[0]
-            U[k] = [c.scale(inv0) for c in U[k]]
-        W[k][k] = TruncatedSeries.monomial(p, e)
         exponents.append(e)
-        divisors.append(W[k][k])
         valid = valid_next
 
-    for k in range(len(exponents), min(m, n)):
-        exponents.append(None)
-        divisors.append(TruncatedSeries.zero(p))
+    r = len(exponents)
+    exponents += [None] * (min(m, n) - r)
     # leftover block decides certification: inexact zeros may hide rank
-    r = sum(1 for e in exponents if e is not None)
     for i in range(r, m):
         for j in range(r, n):
             if not W[i][j].is_zero_series():
                 certified = False
 
-    return SmithDecomposition(SeriesMatrix(p, U), SeriesMatrix(p, V),
-                              divisors, exponents, valid, certified)
+    return SmithDecomposition(SeriesMatrix(p, V), exponents, certified)
 
 
 def kernel_basis(A: SeriesMatrix, working_order: int | None = None) -> list[list[TruncatedSeries]]:

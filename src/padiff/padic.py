@@ -59,26 +59,6 @@ def unit_digits(num: int, den: int, p: int, v: int, k: int) -> int:
     return num % pk * pow(den, -1, pk) % pk
 
 
-def factorial_valuation(s: int, p: int) -> int:
-    """v_p(s!) by summing floor(s / p**k)."""
-    if s < 0:
-        raise ValueError("s must be nonnegative")
-    total = 0
-    q = s
-    while q:
-        q //= p
-        total += q
-    return total
-
-
-def digit_sum(s: int, p: int) -> int:
-    total = 0
-    while s:
-        total += s % p
-        s //= p
-    return total
-
-
 class PadicNumber:
     """An element of Q_p known to finite (or exact) precision.
 
@@ -191,14 +171,6 @@ class PadicNumber:
             return _INF
         return self.v
 
-    def norm_exponent(self) -> Fraction | None:
-        """log_p of the norm: -v as a Fraction, None for the exact zero."""
-        if self.is_exact_zero:
-            return None
-        if self.u == 0:
-            raise PrecisionError("norm of an inexact zero is only bounded")
-        return Fraction(-self.v)
-
     def residue(self, base_v: int, k: int) -> int:
         """The integer (self * p**-base_v) mod p**k; requires v >= base_v."""
         if k <= 0 or self.u == 0:
@@ -208,23 +180,6 @@ class PadicNumber:
         pk = self.p ** k
         u = self.u if self.exact is None else self._unit_to(k)
         return u * pow(self.p, self.v - base_v, pk) % pk
-
-    def agrees(self, other: "PadicNumber") -> bool:
-        """Do the two values agree on every digit both of them claim?"""
-        if self.p != other.p:
-            return False
-        common = min(self.abs_prec, other.abs_prec)
-        if common == _INF:
-            return self.exact == other.exact
-        common = int(common)
-        base = min(self.val_lower_bound(), other.val_lower_bound(), common)
-        if base == _INF:
-            return True
-        base = int(base)
-        k = common - base
-        if k <= 0:
-            return True
-        return self.residue(base, k) == other.residue(base, k)
 
     # ------------------------------------------------------------------
     # arithmetic

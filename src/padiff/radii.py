@@ -367,13 +367,14 @@ def _scaled_step(row: list, j: int, terms, lens, D: int) -> list:
     return out
 
 
-def _polynomial_lift(vec: list[TruncatedSeries],
-                     max_degree: int = _KERNEL_WORKING_ORDER - 4):
+def _polynomial_lift(vec: list[TruncatedSeries]):
     """Read a window-limited kernel vector as the polynomial it shows.
 
     The guess drops trailing coefficients that are only known to be
-    small; it is sound because every candidate is verified against the
-    raw iterates before any column is replaced.
+    small, and keeps the vector as it is when a determinate coefficient
+    lies past degree _KERNEL_WORKING_ORDER - 4.  It is sound because
+    every candidate is verified against the raw iterates before any
+    column is replaced.
     """
     out = []
     for c in vec:
@@ -384,7 +385,7 @@ def _polynomial_lift(vec: list[TruncatedSeries],
         for i, x in enumerate(c.coeffs):
             if not x.is_zeroish:
                 last = i
-        if last is None or last > max_degree:
+        if last is None or last > _KERNEL_WORKING_ORDER - 4:
             return vec
         out.append(TruncatedSeries(c.p, list(c.coeffs[:last + 1]), True))
     return out

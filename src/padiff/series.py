@@ -66,14 +66,12 @@ class GaussNorm:
     """Result of a Gauss norm evaluation at radius p**(-r).
 
     exponent      -- log_p of the norm, None when the series is exactly 0
-    attained_at   -- least index where the max is attained
     boundary      -- max sits at the truncation edge of an inexact tail,
                      so the true norm may be larger
     indeterminate -- an undetermined coefficient could beat the max
     """
 
     exponent: Fraction | None
-    attained_at: int | None
     boundary: bool
     indeterminate: bool
 
@@ -106,18 +104,12 @@ class TruncatedSeries:
         return cls(p, coeffs, tail_exact)
 
     @classmethod
-    def zero(cls, p: int, order: int = 0, tail_exact: bool = True) -> "TruncatedSeries":
-        return cls(p, [PadicNumber.exact_zero(p) for _ in range(order + 1)], tail_exact)
+    def zero(cls, p: int) -> "TruncatedSeries":
+        return cls(p, [PadicNumber.exact_zero(p)], True)
 
     @classmethod
     def one(cls, p: int) -> "TruncatedSeries":
         return cls(p, [PadicNumber.from_int(1, p)], True)
-
-    @classmethod
-    def monomial(cls, p: int, k: int, coeff: int = 1) -> "TruncatedSeries":
-        coeffs = [PadicNumber.exact_zero(p) for _ in range(k + 1)]
-        coeffs[k] = PadicNumber.from_int(coeff, p)
-        return cls(p, coeffs, True)
 
     # ------------------------------------------------------------------
     # views
@@ -164,15 +156,6 @@ class TruncatedSeries:
         if k is None:
             raise ValueError("zero series has no finite order of vanishing")
         return k
-
-    def agrees(self, other: "TruncatedSeries") -> bool:
-        hi = min(self.order, other.order)
-        if not all(self.coeffs[i].agrees(other.coeffs[i]) for i in range(hi + 1)):
-            return False
-        if self.tail_exact and other.tail_exact:
-            longer = self if self.order > other.order else other
-            return all(c.is_exact_zero for c in longer.coeffs[hi + 1:])
-        return True
 
     # ------------------------------------------------------------------
     # shaping
@@ -340,8 +323,8 @@ class TruncatedSeries:
                     pending = key
         indeterminate = pending is not None and (best is None or pending > best)
         boundary = (not self.tail_exact) and attained == self.order
-        return GaussNorm(None if best is None else Fraction(best, b), attained,
-                         boundary, indeterminate)
+        return GaussNorm(None if best is None else Fraction(best, b), boundary,
+                         indeterminate)
 
     def __eq__(self, other):
         if not isinstance(other, TruncatedSeries):

@@ -12,12 +12,13 @@ from fractions import Fraction
 
 import pytest
 
+from oracles import agrees, factorial_valuation, hypergeom_series_capped, hypergeom_valuation_oracle
 import test_properties
 from padiff import corpus, padic
 from padiff.config import WorkbenchConfig
 from padiff.diffmod import DifferentialModule
 from padiff.linalg import SeriesMatrix
-from padiff.padic import PadicNumber, factorial_valuation
+from padiff.padic import PadicNumber
 from padiff.pipeline import construct_submodule, growth_order, verify_conjecture
 from padiff.radii import RadiusWorkbench, omega_exponent
 from padiff.series import TruncatedSeries
@@ -170,9 +171,9 @@ def test_criterion_5_growth_bounds(sweep):
         assert dwork.delta_hats == (0.0, 0.0)
         assert dwork.fil_stable
 
-        capped = corpus.hypergeom_series_capped(p, WINDOW)
+        capped = hypergeom_series_capped(p, WINDOW)
         for k, c in enumerate(capped):
-            assert c.v == corpus.hypergeom_valuation_oracle(k, p)
+            assert c.v == hypergeom_valuation_oracle(k, p)
         prof = growth_order([TruncatedSeries(p, capped, False)], WINDOW, start=0)
         assert prof.value == 0.0 and not prof.indeterminate
     _line(5, "all %d verification verdicts PASS; hypergeometric kernel "
@@ -242,7 +243,7 @@ def test_criterion_7_property_suites_configured():
 
 def _series_agree(a: TruncatedSeries, b: TruncatedSeries) -> bool:
     hi = min(a.order, b.order)
-    return all(a.coeffs[i].agrees(b.coeffs[i]) for i in range(hi + 1))
+    return all(agrees(a.coeffs[i], b.coeffs[i]) for i in range(hi + 1))
 
 
 def _matrices_agree(a, b) -> bool:

@@ -6,6 +6,7 @@ the config, reports are byte-stable modulo the timestamp, and the exit
 code contract holds on both the happy and the failing paths.
 """
 
+import concurrent.futures
 import json
 import time
 from dataclasses import fields
@@ -14,6 +15,7 @@ from pathlib import Path
 
 import pytest
 
+from oracles import is_zero
 import padiff
 from padiff.cli import main
 from padiff.diffmod import H0Report, DifferentialModule
@@ -74,7 +76,7 @@ def test_parse_module_bundled_ex44():
 def test_parse_module_bundled_trivial3():
     desc = parse_module(DESCRIPTIONS / "trivial3.json")
     assert desc.module.rank == 3
-    assert desc.module.matrix.is_zero()
+    assert is_zero(desc.module.matrix)
 
 
 def test_parse_module_rejects_composite_prime(tmp_path):
@@ -632,7 +634,7 @@ class _RecordingPool:
 ])
 def test_cli_corpus_caps_the_worker_pool(monkeypatch, tmp_path, only, cpus, workers):
     monkeypatch.setattr(_RecordingPool, "created", [])
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
     monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
     monkeypatch.setattr(cli, "_corpus_job", lambda payload: {
         "module": payload[0], "verdict": "PASS", "checks": {}, "report": {}})

@@ -8,16 +8,18 @@ or an identifier-like string; uses inside the definition's own body
 shares its name with a live one, so the reachability pass runs each CLI
 subcommand once on small modules under sys.setprofile, and every
 top-level function and method must be entered.  Dunders are exempt from
-both, since the language calls them.  The allowlist keeps the test
-helpers: oracles, accessors and comparison relations no production path
-needs, against which tests check the production code.
+both, since the language calls them, and so are the definitions the
+benchmark's span recorder (perfbench/spans.py) patches, since it looks
+each one up whether or not a CLI path calls it.  Nothing else is:
+a helper that only tests need (an oracle, an accessor, a comparison
+relation) lives in tests/oracles.py.
 
 The field scan: every dataclass field in src/padiff must be read as an
 attribute somewhere in src/padiff or in the benchmark's span recorder
 (perfbench/spans.py), which reads report fields the CLI does not.  Like
 the name scan it matches bare attribute names, so it cannot see a dead
 field whose name another attribute shares: a field named path would be
-hidden by os.path.  FIELD_ORACLES keeps the fields only a test reads.
+hidden by os.path.  A field that only a test reads is deleted.
 """
 
 import ast
@@ -27,7 +29,6 @@ import json
 import sys
 import tempfile
 from collections import Counter
-from functools import lru_cache
 from pathlib import Path
 
 import padiff
@@ -43,31 +44,20 @@ TESTS = Path(__file__).parent
 TREES = {path.name: ast.parse(path.read_text(), filename=str(path))
          for path in sorted(SRC.glob("*.py"))}
 
-# test helper -> a test that uses it to check production code
-ORACLES = {
-    "factorial_valuation": "test_padic.py::test_factorial_valuation_against_direct_product",
-    "digit_sum": "test_padic.py::test_factorial_valuation_legendre_closed_form",
-    "PadicNumber.norm_exponent": "test_properties.py::test_norm_multiplicative_and_ultrametric",
-    "hypergeom_valuation_oracle": "test_acceptance.py::test_criterion_5_growth_bounds",
-    "hypergeom_series_capped": "test_acceptance.py::test_criterion_5_growth_bounds",
-    "SeriesMatrix.is_zero": "test_radii.py::test_trivial_iterates_vanish",
-    "SmithDecomposition.diagonal_matrix":
-        "test_properties.py::test_snf_reconstruction_chain_unimodular",
-    "SmithDecomposition.rank": "test_properties.py::test_kernel_vectors_annihilate_and_span",
-    "SeriesMatrix.entry": "test_diffmod.py::test_dual_matrix",
-    "SeriesMatrix.agrees": "test_properties.py::test_snf_reconstruction_chain_unimodular",
-    "TruncatedSeries.agrees": "test_properties.py::test_leibniz_identity",
-    "PadicNumber.agrees": "test_properties.py::test_exact_times_capped_claims_only_true_digits",
-}
-
-
-# dataclass field -> a test that reads it; no production path does
-FIELD_ORACLES = {
-    "GaussNorm.attained_at": "test_series.py::test_gauss_norm_values",
-    "SmithDecomposition.valid_order":
-        "test_properties.py::test_snf_reconstruction_chain_unimodular",
-}
 SPANS = TESTS.parent / "perfbench" / "spans.py"
+SPANS_TREE = ast.parse(SPANS.read_text(), filename=str(SPANS))
+
+# the definitions spans.py replaces, by patch(owners, attr, wrapper): a
+# module's function, or Class.attr for an owner bound as X = module.Class
+_ALIASES = {node.targets[0].id: node.value.attr for node in ast.walk(SPANS_TREE)
+            if isinstance(node, ast.Assign) and isinstance(node.targets[0], ast.Name)
+            and isinstance(node.value, ast.Attribute)}
+PATCHED = {"%s.%s" % (_ALIASES[owner.id], call.args[1].value) if owner.id in _ALIASES
+           else call.args[1].value
+           for call in ast.walk(SPANS_TREE)
+           if isinstance(call, ast.Call) and getattr(call.func, "attr", None) == "patch"
+           and isinstance(call.args[1], ast.Constant)
+           for owner in call.args[0].elts}
 
 
 def _names(node) -> Counter:
@@ -87,7 +77,7 @@ def _names(node) -> Counter:
 
 def _definitions():
     """(qualified name, file name, node) of every top-level function,
-    class and method in src/padiff, dunders left out."""
+    class and method in src/padiff, dunders and PATCHED left out."""
     out = []
     for fname, tree in TREES.items():
         for node in tree.body:
@@ -98,7 +88,8 @@ def _definitions():
                         for sub in node.body
                         if isinstance(sub, (ast.FunctionDef, ast.AsyncFunctionDef))]
     return [(q, f, n) for q, f, n in out
-            if not (n.name.startswith("__") and n.name.endswith("__"))]
+            if not (n.name.startswith("__") and n.name.endswith("__"))
+            and q not in PATCHED]
 
 
 def _unreferenced() -> list[str]:
@@ -119,7 +110,7 @@ def _is_dataclass(decorator) -> bool:
 
 def _unread_fields() -> list[str]:
     """Dataclass fields of src/padiff that no attribute load reads."""
-    trees = list(TREES.values()) + [ast.parse(SPANS.read_text(), filename=str(SPANS))]
+    trees = list(TREES.values()) + [SPANS_TREE]
     reads = {n.attr for tree in trees for n in ast.walk(tree)
              if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)}
     return ["%s.%s" % (node.name, stmt.target.id)
@@ -142,7 +133,6 @@ CAPPED_MODULE = {
 SMALL = ["--order", "60", "--iterates", "20"]
 
 
-@lru_cache(maxsize=None)
 def _unreached() -> frozenset:
     """Definitions the pass never enters: each CLI subcommand once on a
     small module, verify-conjecture on both branches, a usage error, and
@@ -197,41 +187,18 @@ def _first_line(node) -> int:
 
 
 def test_every_definition_is_referenced():
-    dead = [q for q in _unreferenced() if q not in ORACLES]
+    dead = _unreferenced()
     assert not dead, ("defined in src/padiff but never used there; delete it, "
-                      "or list it in ORACLES with the test that needs it: %s"
-                      % ", ".join(dead))
+                      "or move it to tests/ if only a test needs it: %s" % ", ".join(dead))
 
 
 def test_every_definition_is_reached():
-    dead = sorted(_unreached() - set(ORACLES))
-    assert not dead, ("no CLI subcommand enters these; delete them, or list "
-                      "them in ORACLES with the test that needs them: %s"
-                      % ", ".join(dead))
-
-
-def _uses(test: str, name: str) -> bool:
-    fname, tname = test.split("::")
-    text = (TESTS / fname).read_text()
-    body = text[text.index("def %s(" % tname):]
-    nxt = body.find("\ndef ", 1)
-    body = body if nxt < 0 else body[:nxt]
-    return name in body
-
-
-def test_oracle_allowlist_is_current():
-    for qual, test in ORACLES.items():
-        # a helper that production code now runs needs no entry
-        assert qual in _unreached(), "%s is reached from the CLI; drop it from ORACLES" % qual
-        assert _uses(test, qual.rsplit(".", 1)[-1]), "%s no longer uses %s" % (test, qual)
+    dead = sorted(_unreached())
+    assert not dead, ("no CLI subcommand enters these; delete them, or move "
+                      "them to tests/ if only a test needs them: %s" % ", ".join(dead))
 
 
 def test_every_dataclass_field_is_read():
-    unread = _unread_fields()
-    dead = [q for q in unread if q not in FIELD_ORACLES]
+    dead = _unread_fields()
     assert not dead, ("dataclass fields that nothing in src/padiff or perfbench/spans.py "
-                      "reads; delete them, or list them in FIELD_ORACLES with the test "
-                      "that reads them: %s" % ", ".join(dead))
-    for qual, test in FIELD_ORACLES.items():
-        assert qual in unread, "%s is read outside the tests; drop it from FIELD_ORACLES" % qual
-        assert _uses(test, qual.rsplit(".", 1)[-1]), "%s no longer reads %s" % (test, qual)
+                      "reads; delete them: %s" % ", ".join(dead))

@@ -14,6 +14,7 @@ from fractions import Fraction
 
 import pytest
 
+from oracles import agrees, monomial
 from padiff.config import WorkbenchConfig
 from padiff.corpus import build
 from padiff.diffmod import H0Report
@@ -152,18 +153,18 @@ def test_dwork_hypergeom():
 
 
 def test_wedge_against_rank2():
-    e = [TruncatedSeries.monomial(5, 1), TruncatedSeries.one(5)]
+    e = [monomial(5, 1), TruncatedSeries.one(5)]
     B = _wedge_against(5, 2, 1, e)
     want = SeriesMatrix.from_rational_rows(5, [[[1], [0, -1]]])
-    assert B.agrees(want)
+    assert agrees(B, want)
 
 
 def test_wedge_against_rank3():
-    e = [TruncatedSeries.zero(5), TruncatedSeries.monomial(5, 1),
+    e = [TruncatedSeries.zero(5), monomial(5, 1),
          TruncatedSeries.one(5)]
     B = _wedge_against(5, 3, 2, e)
     want = SeriesMatrix.from_rational_rows(5, [[[1], [0, -1], [0]]])
-    assert B.agrees(want)
+    assert agrees(B, want)
 
 
 def test_normalize_sup_scales_to_unit():
@@ -195,13 +196,13 @@ def test_construct_ex44_kernel_line(ex44_witness):
     d = w.diagnostics
     assert d.branch == "generic"
     assert w.rank == 1
-    t = TruncatedSeries.monomial(5, 1)
+    t = monomial(5, 1)
     one = TruncatedSeries.one(5)
-    assert w.phi.entries[0][0].agrees(t)
-    assert w.phi.entries[1][0].agrees(one)
-    assert w.theta.entries[0][0].agrees(one)
-    assert w.e[0].agrees(t)
-    assert w.e[1].agrees(one)
+    assert agrees(w.phi.entries[0][0], t)
+    assert agrees(w.phi.entries[1][0], one)
+    assert agrees(w.theta.entries[0][0], one)
+    assert agrees(w.e[0], t)
+    assert agrees(w.e[1], one)
     assert w.submodule.matrix.entries[0][0].is_zero_series()
     assert d.h0_of_submodule == 1
     assert d.hypothesis_log_radius == F(-1, 4)
@@ -227,9 +228,9 @@ def test_construct_trivial2_full_branch():
     assert d.branch == "full"
     assert w.rank == 2
     ident = SeriesMatrix.identity(5, 2)
-    assert w.phi.agrees(ident)
-    assert w.theta.agrees(ident)
-    assert w.e[0].agrees(TruncatedSeries.one(5))
+    assert agrees(w.phi, ident)
+    assert agrees(w.theta, ident)
+    assert agrees(w.e[0], TruncatedSeries.one(5))
     assert d.e_sup_certified and d.diagram_ok and d.ok
     assert d.theta_growth == 0.0
 
@@ -277,11 +278,11 @@ def test_construct_rank3_generic():
     assert d.branch == "generic"
     assert w.rank == 2
     assert w.phi.shape == (3, 2)
-    t = TruncatedSeries.monomial(5, 1)
+    t = monomial(5, 1)
     one = TruncatedSeries.one(5)
     assert w.e[0].is_zero_series()
-    assert w.e[1].agrees(t)
-    assert w.e[2].agrees(one)
+    assert agrees(w.e[1], t)
+    assert agrees(w.e[2], one)
     assert d.h0_of_submodule == 2
     assert d.hypothesis_log_radius == F(-1, 4)
     assert d.e_horizontal and d.d_stable and d.diagram_ok

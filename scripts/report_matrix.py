@@ -15,9 +15,9 @@ PYTHONPATH picks the tree whose reports are written.  The runs:
   the four bundled description files and on exp_small_p5 and ex44_p5,
   whose exact routes (the full-branch inverse and the Taylor iterates)
   then reach full size, and on hypergeom_half_p5 at --iterates 64;
-- verify-conjecture on ex44_p5 at --iterates 400, where the scaled
-  integer Taylor iterates reach 1,462 bits: well past the default's,
-  still inside DEMOTE_BITS;
+- verify-conjecture on ex44_p5 at --iterates 400 and 800, where the
+  scaled integer Taylor iterates reach 1,462 and 3,313 bits: well past
+  the default's, still inside DEMOTE_BITS;
 - corpus --jobs 2.
 
 Run NAME leaves NAME.json (its report without the timestamp key),
@@ -58,8 +58,9 @@ def runs():
         yield "verify-conjecture.default.%s" % module, ["verify-conjecture", module]
     yield ("verify-conjecture.hypergeom_half_p5",
            ["verify-conjecture", "hypergeom_half_p5", "--iterates", "64"])
-    yield ("verify-conjecture.iterates400.ex44_p5",
-           ["verify-conjecture", "ex44_p5", "--iterates", "400"])
+    for count in ("400", "800"):
+        yield ("verify-conjecture.iterates%s.ex44_p5" % count,
+               ["verify-conjecture", "ex44_p5", "--iterates", count])
     yield "corpus", ["corpus", "--jobs", "2"]
 
 

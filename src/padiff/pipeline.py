@@ -101,7 +101,6 @@ class DworkReport:
     fil_stable: bool
     verdict: str
     order: int
-    tolerance: float
 
 
 def verify_dwork_bound(module: DifferentialModule,
@@ -120,8 +119,7 @@ def verify_dwork_bound(module: DifferentialModule,
     deltas = tuple(r.delta_hat for r in reports)
     if h0.dim < m:
         return DworkReport(module.label, m, h0.dim, False, deltas,
-                           m - 1 + tol, False, NOT_APPLICABLE,
-                           cfg.order, tol)
+                           m - 1 + tol, False, NOT_APPLICABLE, cfg.order)
     fil_stable = all(_sup_settled(coord, m - 1)
                      for r in reports for coord in r.section)
     if any(d > m - 1 + tol for d in deltas):
@@ -131,7 +129,7 @@ def verify_dwork_bound(module: DifferentialModule,
     else:
         verdict = PASS
     return DworkReport(module.label, m, h0.dim, True, deltas,
-                       m - 1 + tol, fil_stable, verdict, cfg.order, tol)
+                       m - 1 + tol, fil_stable, verdict, cfg.order)
 
 
 def _sup_settled(series: TruncatedSeries, delta: float) -> bool:

@@ -15,18 +15,20 @@ are per-position lower bounds for the true multiset.
 When every entry of A is a polynomial with exact coefficients, the
 iterates are scaled integer polynomials N_s = D**s M_s, D the lcm of A's
 denominators: N_{s+1} = D N_s' - N_s (D A) on lists of ints, each entry
-as long as the series recursion makes it.  A tail read then needs only
-valuations, v(M_s[i]) = v_p(N_s[i]) - s v_p(D), taken once for every
-radius and only where one can raise the norm, and compared through Gauss
-norm's own integer key.  An iterate is made a SeriesMatrix, with the
-exact values the series recursion gives, only where it is asked for
-(kernel candidates and probes).  The integer recursion hands its last
-iterate to the series recursion at the first step where the bound
+as long as the series recursion makes it, in one pass that keeps no
+integer iterate past its read.  A tail read needs only valuations,
+v(M_s[i]) = v_p(N_s[i]) - s v_p(D), taken as the recursion runs, once
+for every radius and only where one can raise the norm, and compared
+through Gauss norm's own integer key.  Only the probe steps (which hold
+the kernel stack) and the handover step are made SeriesMatrix, with the
+exact values the series recursion gives.  The integer recursion hands
+its last iterate to the series recursion at the first step where the bound
 bits(max |N_s|) + max(bits(max |D A|), bits(D * length)) + bits(term
 count), with D**(s+2), cannot show that every value that step forms
 stays within DEMOTE_BITS: past it the series recursion demotes what it
 demotes.  A matrix with a coefficient window or a capped coefficient
-keeps the series recursion throughout.
+keeps the series recursion throughout.  Every iterate the series
+recursion builds is kept, since its tail is read by Gauss norms.
 
 One rule reads the multiset at a circle:
 
@@ -75,7 +77,6 @@ def omega_exponent(p: int) -> Fraction:
 
 @dataclass(frozen=True)
 class RadiusSample:
-    log_rho: Fraction
     log_radius: Fraction
     certified: bool
     flags: tuple[str, ...]
@@ -122,9 +123,11 @@ class IterateWindowError(ValueError):
 class PowerIterates:
     """Taylor iterates of the horizontal frame of one module.
 
-    mats is the sequence M_0, ..., M_count (_Iterates): scaled integer
-    iterates made SeriesMatrix on demand, then those of the series
-    recursion.
+    steps maps s to M_s for the iterates a read takes as a SeriesMatrix:
+    on the integer route the probe steps and the handover step, then
+    every iterate the series recursion builds.  records holds the
+    valuation records of the scaled tail iterates, taken as the integer
+    recursion runs; no integer iterate is kept past its read.
     """
 
     def __init__(self, module: DifferentialModule, count: int):
@@ -140,21 +143,33 @@ class PowerIterates:
                 raise IterateWindowError(
                     "matrix window %d cannot support %d iterates" % (mat_window, count))
         self.window = window
-        if window is None and all(c.exact is not None for row in A.entries
-                                  for cell in row for c in cell.coeffs):
-            mats = _Iterates(p, *_scaled_iterates(A, count), [])
+        self.steps: dict[int, SeriesMatrix] = {}
+        self.records: dict[int, list] = {}
+        D = None if window is not None else _exact_scale(A)
+        last = 0
+        if D is None:
+            self.steps[0] = SeriesMatrix.identity(p, module.rank)
         else:
-            mats = _Iterates(p, 1, [], [SeriesMatrix.identity(p, module.rank)])
-        # the series recursion, from the last scaled iterate if there is one
-        for s in range(len(mats) - 1, count):
-            cur = mats[s]
+            vD = vp_int(D, p)
+            tail, probes = self.tail_range(), self.probe_steps()
+            for last, N in _scaled_iterates(A, D, count):
+                if last in tail:
+                    self.records[last] = _column_records(N, last * vD, p)
+                if last in probes:
+                    self.steps[last] = _exact_matrix(p, N, D ** last)
+            if last not in self.steps:
+                # the handover step
+                self.steps[last] = _exact_matrix(p, N, D ** last)
+        # the series recursion, from the handover step if there is one
+        for s in range(last, count):
+            cur = self.steps[s]
             nxt = cur.derive() - (cur @ A)
             if window is not None:
                 cap = window + (count - s)
                 nxt = nxt.map(lambda c: c.truncate(cap) if c.order > cap else c)
-            mats.built.append(nxt)
-        self.mats = mats
-        self._records: dict[int, list] | None = None
+            self.steps[s + 1] = nxt
+        # perfbench/spans.py counts the iterates and their coefficients here
+        self.mats = list(self.steps.values())
         self._column_betas: dict = {}
         self._candidates: list[list[TruncatedSeries]] | None = None
         self._probe_images: dict = {}
@@ -163,72 +178,28 @@ class PowerIterates:
         lo = max(int(self.count * _TAIL_FRAC), 1)
         return range(lo, self.count + 1)
 
-    def matrix_beta(self, r: Fraction):
-        """max over the tail of |M_s|_rho ** (1/s), as a log_p Fraction.
-
-        A max over tail iterates and entries is the max of the column
-        betas, so every entry is read once per radius.
-        """
-        best = None
-        flags = set()
-        for j in range(self.module.rank):
-            val, _, fl = self.column_beta(r, j)
-            flags.update(fl)
-            if val is not None and (best is None or val > best):
-                best = val
-        return best, tuple(sorted(flags))
+    def probe_steps(self) -> list[int]:
+        """The late iterates a combined column is sampled at; they hold the
+        kernel stack's picks."""
+        count = self.count
+        return sorted({s for s in (count, count - 1, count - 2, 3 * count // 4, count // 2)
+                       if s >= 1})
 
     def column_beta(self, r: Fraction, j: int):
         """(beta, zero_certified, flags) of column j; read once per radius.
 
-        A scaled tail iterate is read from its valuation records, a built
+        A scaled tail iterate is read from its valuation record, a built
         one by Gauss norms.
         """
         if (r, j) not in self._column_betas:
-            scaled = len(self.mats.ints)
-            tail = self.tail_range()
-            records = self._valuation_records()
-            norms = [_record_norm(s, records[s][j], r) for s in tail if s < scaled]
-            norms += [_series_norm(s, self.mats[s].column(j), r) for s in tail if s >= scaled]
-            self._column_betas[r, j] = _beta(norms)
+            self._column_betas[r, j] = _beta(
+                _record_norm(s, self.records[s][j], r) if s in self.records
+                else _series_norm(s, self.steps[s].column(j), r)
+                for s in self.tail_range())
         return self._column_betas[r, j]
 
-    def _valuation_records(self) -> dict[int, list]:
-        """Per scaled tail iterate s and column j, the (i, -v) of its
-        coefficients (index i, valuation v) that a Gauss norm can attain
-        at some r >= 0: each -v beats every one at a smaller index.
-
-        Read once, for every radius: a coefficient that p**v divides, v
-        the least valuation at smaller indices, cannot beat them, and
-        only the others have their valuation computed.
-        """
-        if self._records is None:
-            p, ints = self.module.p, self.mats.ints
-            vD = vp_int(self.mats.D, p)
-            self._records = {}
-            for s in self.tail_range():
-                if s >= len(ints):
-                    break
-                rows = ints[s]
-                cols = []
-                for j in range(len(rows)):
-                    cells = [row[j] for row in rows]
-                    record, p_least = [], None
-                    for i in range(max(map(len, cells))):
-                        for cell in cells:
-                            n = cell[i] if i < len(cell) else 0
-                            if n and (p_least is None or n % p_least):
-                                v = vp_int(n, p)
-                                if record and record[-1][0] == i:
-                                    record.pop()
-                                record.append((i, s * vD - v))
-                                p_least = p ** v
-                    cols.append(record)
-                self._records[s] = cols
-        return self._records
-
     def vector_beta_probes(self, r: Fraction, vec: list[TruncatedSeries]):
-        """beta of a combined column, sampled at a few late iterates.
+        """beta of a combined column, sampled at the probe steps.
 
         Enough for replacement decisions: a surviving candidate is
         either exactly annihilated at every probe (certifiable) or kept
@@ -237,12 +208,9 @@ class PowerIterates:
         """
         key = id(vec)
         if key not in self._probe_images:
-            count = self.count
-            probes = sorted({count, count - 1, count - 2,
-                             max(3 * count // 4, 1), max(count // 2, 1)})
             # the vector rides along, so that its id stays its own
-            self._probe_images[key] = vec, [(s, self.mats[s].matvec(vec))
-                                            for s in probes if s >= 1]
+            self._probe_images[key] = vec, [(s, self.steps[s].matvec(vec))
+                                            for s in self.probe_steps()]
         images = self._probe_images[key][1]
         return _beta([_series_norm(s, image, r) for s, image in images], {"probes_only"})
 
@@ -258,7 +226,7 @@ class PowerIterates:
             picks = [count - d for d in range(_KERNEL_STACK_DEPTH) if count - d >= 1]
             raw = []
             if picks:
-                stack = SeriesMatrix.vstack([self.mats[s] for s in picks])
+                stack = SeriesMatrix.vstack([self.steps[s] for s in picks])
                 k = _KERNEL_WORKING_ORDER
                 stack = stack.map(lambda c: c.truncate(k) if c.order > k else c)
                 try:
@@ -269,45 +237,17 @@ class PowerIterates:
         return self._candidates
 
 
-class _Iterates:
-    """M_0, ..., M_count as a sequence of SeriesMatrix.
-
-    The first ones are scaled integer iterates N_s = D**s * M_s, each
-    entry a list of integer coefficients, made a SeriesMatrix only when
-    asked for (and kept); the rest were built by the series recursion.
-    """
-
-    def __init__(self, p: int, D: int, ints: list, built: list):
-        self.p = p
-        self.D = D
-        self.ints = ints
-        self.built = built
-        self._made: dict[int, SeriesMatrix] = {}
-
-    def __len__(self) -> int:
-        return len(self.ints) + len(self.built)
-
-    def __getitem__(self, s: int) -> SeriesMatrix:
-        if s < 0:
-            s += len(self)
-        if not 0 <= s < len(self):
-            raise IndexError("iterate %d out of range" % s)
-        if s >= len(self.ints):
-            return self.built[s - len(self.ints)]
-        if s not in self._made:
-            p, scale = self.p, self.D ** s
-            self._made[s] = SeriesMatrix(p, [[TruncatedSeries(
-                p, [PadicNumber._from_exact(Fraction(n, scale), p) for n in cell], True)
-                for cell in row] for row in self.ints[s]])
-        return self._made[s]
-
-    def __iter__(self):
-        return (self[s] for s in range(len(self)))
+def _exact_scale(A: SeriesMatrix) -> int | None:
+    """The lcm of A's denominators when every coefficient is exact."""
+    coeffs = [c.exact for row in A.entries for cell in row for c in cell.coeffs]
+    if any(q is None for q in coeffs):
+        return None
+    return math.lcm(*(q.denominator for q in coeffs))
 
 
-def _scaled_iterates(A: SeriesMatrix, count: int) -> tuple[int, list]:
-    """(D, [N_0, ..., N_S]) for an all-exact polynomial A, with D the lcm
-    of its denominators.
+def _scaled_iterates(A: SeriesMatrix, D: int, count: int):
+    """(s, N_s) for s = 0, ..., S, for an all-exact polynomial A whose
+    denominators divide D.
 
     N_(s+1) = D * N_s' - N_s * (D * A) on integer coefficient lists, each
     entry as long as the series recursion makes it.  The recursion stops
@@ -319,7 +259,6 @@ def _scaled_iterates(A: SeriesMatrix, count: int) -> tuple[int, list]:
     """
     m = A.shape[0]
     exact = [[[c.exact for c in cell.coeffs] for cell in row] for row in A.entries]
-    D = math.lcm(*(q.denominator for row in exact for cell in row for q in cell))
     # the nonzero (degree, coefficient) terms of D * A, and each entry's length
     terms = [[[(e, q.numerator * (D // q.denominator)) for e, q in enumerate(cell) if q]
               for cell in row] for row in exact]
@@ -329,18 +268,17 @@ def _scaled_iterates(A: SeriesMatrix, count: int) -> tuple[int, list]:
     # pairs reaching one coefficient, plus its derivative term
     term_bits = (1 + m * max(len(cell) for row in terms for cell in row)).bit_length()
     cur = [[[1] if i == j else [0] for j in range(m)] for i in range(m)]
-    out = [cur]
+    yield 0, cur
     scale = D * D
     for s in range(count):
         width = max(len(cell) for row in cur for cell in row)
         bits = max(max(map(int.bit_length, cell)) for row in cur for cell in row)
         if (bits + max(da_bits, (D * width).bit_length()) + term_bits > DEMOTE_BITS
                 or scale.bit_length() > DEMOTE_BITS):
-            break
+            return
         cur = [[_scaled_step(row, j, terms, lens, D) for j in range(m)] for row in cur]
-        out.append(cur)
+        yield s + 1, cur
         scale *= D
-    return D, out
 
 
 def _scaled_step(row: list, j: int, terms, lens, D: int) -> list:
@@ -365,6 +303,40 @@ def _scaled_step(row: list, j: int, terms, lens, D: int) -> list:
             else:
                 out[e:e + k] = [y - b * x for y, x in zip(seg, a)]
     return out
+
+
+def _column_records(N: list, shift: int, p: int) -> list:
+    """Per column j of a scaled iterate N_s, the (i, -v) of its
+    coefficients (index i, valuation v of M_s's, N_s's less shift) that a
+    Gauss norm can attain at some r >= 0: each -v beats every one at a
+    smaller index.
+
+    A coefficient that p**v divides, v the least valuation at smaller
+    indices, cannot beat them, and only the others have their valuation
+    computed.
+    """
+    cols = []
+    for j in range(len(N)):
+        cells = [row[j] for row in N]
+        record, p_least = [], None
+        for i in range(max(map(len, cells))):
+            for cell in cells:
+                n = cell[i] if i < len(cell) else 0
+                if n and (p_least is None or n % p_least):
+                    v = vp_int(n, p)
+                    if record and record[-1][0] == i:
+                        record.pop()
+                    record.append((i, shift - v))
+                    p_least = p ** v
+        cols.append(record)
+    return cols
+
+
+def _exact_matrix(p: int, N: list, scale: int) -> SeriesMatrix:
+    """M_s = N_s / scale, with the exact values the series recursion gives."""
+    return SeriesMatrix(p, [[TruncatedSeries(
+        p, [PadicNumber._from_exact(Fraction(n, scale), p) for n in cell], True)
+        for cell in row] for row in N])
 
 
 def _polynomial_lift(vec: list[TruncatedSeries]):
@@ -463,10 +435,14 @@ class RadiusWorkbench:
         return self._iterates
 
     def top_radius(self, r) -> RadiusSample:
+        """The generic radius: a max over tail iterates and entries is the
+        max of the column betas, so every entry is read once per radius."""
         r = Fraction(r)
-        beta, flags = self.iterates().matrix_beta(r)
-        log_R = _capped_radius(self.p, r, beta)
-        return RadiusSample(r, log_R, _is_clean(flags), flags)
+        it = self.iterates()
+        reads = [it.column_beta(r, j) for j in range(self.module.rank)]
+        beta = max((b for b, _, _ in reads if b is not None), default=None)
+        flags = tuple(sorted({f for _, _, fl in reads for f in fl}))
+        return RadiusSample(_capped_radius(self.p, r, beta), _is_clean(flags), flags)
 
     # -- column route ------------------------------------------------------
 

@@ -386,11 +386,11 @@ class _ExactRuns:
     """Slot k is the left fold out[k] = out[k] + x * y (- x * y when sign
     is -1) over the pairs add receives, field for field.  While they are
     exact, its sum is an integer numerator over the lcm of their
-    denominators, made a PadicNumber once, in values; one pair stays
-    x * y.  The fold demotes a pair product or partial sum whose reduced
-    form passes DEMOTE_BITS, so a gcd is due only when the unreduced one
-    does.  The run ends at such a demotion or at a capped or inexact-zero
-    factor, and PadicNumber operations sum the rest of the slot.
+    denominators, made a PadicNumber once, in values.  The fold demotes
+    a pair product or partial sum whose reduced form passes DEMOTE_BITS,
+    so a gcd is due only when the unreduced one does.  The run ends at
+    such a demotion or at a capped or inexact-zero factor, and
+    PadicNumber operations sum the rest of the slot.
     """
 
     __slots__ = ("p", "out", "sign", "runs")
@@ -399,20 +399,15 @@ class _ExactRuns:
         self.p = p
         self.out = start        # each slot's value, unless it is in a run
         self.sign = sign
-        self.runs: dict = {}    # slot -> (x, y), its one pair, or (num, den)
+        self.runs: dict = {}    # slot -> (num, den)
 
     def add(self, k: int, x: PadicNumber, y: PadicNumber) -> None:
         """Fold the pair product x * y of two nonzero values into slot k."""
         if x.exact is not None and y.exact is not None:
             run = self.runs.get(k)
             if run is None:
-                z = self.out[k]
-                if z.exact is not None and not z.u:
-                    self.runs[k] = (x, y)
-                    return
-                run = None if z.exact is None else (z.exact.numerator, z.exact.denominator)
-            elif type(run[0]) is PadicNumber:
-                run = self._term(*run)
+                z = self.out[k].exact
+                run = None if z is None else (z.numerator, z.denominator)
             term = run and self._term(x, y)
             if term:
                 (num, den), (n, d) = run, term
@@ -427,25 +422,18 @@ class _ExactRuns:
                     self.runs[k] = run
                 return
         if k in self.runs:
-            self.out[k] = self._value(self.runs.pop(k))
+            self.out[k] = PadicNumber._from_exact(Fraction(*self.runs.pop(k)), self.p)
         z = self.out[k]
         self.out[k] = z + x * y if self.sign > 0 else z - x * y
 
     def values(self) -> list[PadicNumber]:
         for k, run in self.runs.items():
-            self.out[k] = self._value(run)
+            self.out[k] = PadicNumber._from_exact(Fraction(*run), self.p)
         return self.out
 
     def _term(self, x: PadicNumber, y: PadicNumber) -> tuple[int, int] | None:
         n = self.sign * x.exact.numerator * y.exact.numerator
         return _reduced(n, x.exact.denominator * y.exact.denominator)
-
-    def _value(self, run) -> PadicNumber:
-        """The fold's value of a slot in this run."""
-        if type(run[0]) is PadicNumber:
-            z = run[0] * run[1]
-            return z if self.sign > 0 else -z
-        return PadicNumber._from_exact(Fraction(*run), self.p)
 
 
 def _reduced(num: int, den: int) -> tuple[int, int] | None:

@@ -46,32 +46,53 @@ def ex44_wb():
 # iterates
 
 
+def all_iterates(it):
+    """M_0, ..., M_count of a PowerIterates: the scaled ones from the
+    integer recursion, made SeriesMatrix, then the series recursion's."""
+    A = it.module.matrix
+    D = radii._exact_scale(A) if it.window is None else None
+    mats = [] if D is None else [radii._exact_matrix(it.module.p, N, D ** s)
+                                 for s, N in radii._scaled_iterates(A, D, it.count)]
+    return mats + [it.steps[s] for s in range(len(mats), it.count + 1)]
+
+
 def test_iterates_match_hand_values():
     it = PowerIterates(build("ex44_p5").module, 3)
     m1 = SeriesMatrix.from_rational_rows(5, [[[0], [1]], [[-1], [0, 1]]])
     m2 = SeriesMatrix.from_rational_rows(5, [[[-1], [0, 1]], [[0, -1], [0, 0, 1]]])
-    assert agrees(it.mats[1], m1)
-    assert agrees(it.mats[2], m2)
+    assert agrees(it.steps[1], m1)
+    assert agrees(it.steps[2], m2)
 
 
 def test_iterates_annihilate_bounded_section():
-    it = PowerIterates(build("ex44_p5").module, 6)
+    mats = all_iterates(PowerIterates(build("ex44_p5").module, 6))
     section = [monomial(5, 1), TruncatedSeries.one(5)]
     for s in range(2, 7):
-        image = it.mats[s].matvec(section)
+        image = mats[s].matvec(section)
         assert all(c.is_zero_series() for c in image)
 
 
 def test_trivial_iterates_vanish():
-    it = PowerIterates(build("trivial2_p5").module, 5)
+    mats = all_iterates(PowerIterates(build("trivial2_p5").module, 5))
     for s in range(1, 6):
-        assert is_zero(it.mats[s])
+        assert is_zero(mats[s])
 
 
 def test_window_capping_bounds_orders():
     it = PowerIterates(build("hypergeom_half_p5").module, 30)
     assert it.window == 96
-    assert all(c.order <= 96 + 1 for row in it.mats[30].entries for c in row)
+    assert all(c.order <= 96 + 1 for row in it.steps[30].entries for c in row)
+
+
+def test_iterates_keep_probe_steps_and_tail_records():
+    # the integer route keeps the probe steps as SeriesMatrix and a
+    # valuation record per tail iterate, nothing else; mats is what the
+    # benchmark's span recorder counts
+    it = PowerIterates(build("ex44_p5").module, 200)
+    assert sorted(it.steps) == it.probe_steps() == [100, 150, 198, 199, 200]
+    assert sorted(it.records) == list(it.tail_range())
+    assert it.mats == list(it.steps.values())
+    assert all(isinstance(m, SeriesMatrix) for m in it.mats)
 
 
 def test_iterate_count_beyond_window_rejected():
@@ -80,39 +101,42 @@ def test_iterate_count_beyond_window_rejected():
 
 
 def test_tail_entries_read_once_per_radius(monkeypatch):
-    # matrix_beta and every column_beta share one read of the scaled tail
-    # for all radii: valuations are taken at the first radius only, at
-    # most one per nonzero tail coefficient (and one of D)
-    it = PowerIterates(build("ex44_p5").module, 40)
+    # the top radius and every column_beta share one read of the scaled
+    # tail for all radii: valuations are all taken as the iterates are
+    # built, none at any radius, at most one per nonzero tail coefficient
+    # (and one of D)
     valuations = []
     real = radii.vp_int
     monkeypatch.setattr(radii, "vp_int", lambda n, p: valuations.append(n) or real(n, p))
-    taken = []
+    wb = RadiusWorkbench(build("ex44_p5").module, WorkbenchConfig(iterates=40))
+    it = wb.iterates()
+    taken = len(valuations)
     for r in (F(1, 4), F(1, 8)):
-        top, _ = it.matrix_beta(r)
+        top = wb.top_radius(r).log_radius
         cols = [it.column_beta(r, j)[0] for j in range(2)]
-        assert top == max(cols)
-        it.matrix_beta(r)
-        taken.append(len(valuations))
-    nonzero = [x for s in it.tail_range() for row in it.mats[s].entries
+        assert top == radii._capped_radius(5, r, max(cols))
+        wb.top_radius(r)
+        assert len(valuations) == taken
+    mats = all_iterates(it)
+    nonzero = [x for s in it.tail_range() for row in mats[s].entries
                for c in row for x in c.coeffs if not x.is_exact_zero]
-    assert taken[0] == taken[1]
-    assert 2 * len(it.tail_range()) < taken[0] <= len(nonzero) + 1
+    assert 2 * len(it.tail_range()) < taken <= len(nonzero) + 1
 
 
 def test_capped_tail_entries_read_once_per_radius(monkeypatch):
     # a capped module's iterates are read by one Gauss norm per tail
     # entry and radius
-    it = PowerIterates(build("hypergeom_half_p5").module, 30)
+    wb = RadiusWorkbench(build("hypergeom_half_p5").module, WorkbenchConfig(iterates=30))
+    it = wb.iterates()
     reads = []
     real = TruncatedSeries.gauss_norm
     monkeypatch.setattr(TruncatedSeries, "gauss_norm",
                         lambda self, r: reads.append(r) or real(self, r))
     for r in (F(1, 4), F(1, 8)):
-        top, _ = it.matrix_beta(r)
+        top = wb.top_radius(r).log_radius
         cols = [it.column_beta(r, j)[0] for j in range(2)]
-        assert top == max(cols)
-        it.matrix_beta(r)
+        assert top == radii._capped_radius(5, r, max(cols))
+        wb.top_radius(r)
     assert len(reads) == 2 * len(it.tail_range()) * 4
 
 
@@ -151,18 +175,25 @@ RADII = (F(0), F(1), F(1, 3), F(1, 4), F(1, 8), F(1, 16), F(1, 32))
 
 
 def assert_matches_reference(module, count):
-    it = PowerIterates(module, count)
+    wb = RadiusWorkbench(module, WorkbenchConfig(iterates=count))
+    it = wb.iterates()
     ref = reference_iterates(module, count)
-    assert len(it.mats) == len(ref)
-    for got, want in zip(it.mats, ref):
+    mats = all_iterates(it)
+    assert len(mats) == len(ref)
+    for got, want in zip(mats, ref):
         assert got.entries == want.entries, module.label
+    for s, got in it.steps.items():
+        assert got.entries == ref[s].entries, (module.label, s)
     tail = it.tail_range()
     for r in RADII:
         cols = [reference_beta(((s, ref[s].column(j)) for s in tail), r)
                 for j in range(module.rank)]
         assert [it.column_beta(r, j) for j in range(module.rank)] == cols, (module.label, r)
         top = max((c[0] for c in cols if c[0] is not None), default=None)
-        assert it.matrix_beta(r) == (top, tuple(sorted({f for c in cols for f in c[2]})))
+        flags = tuple(sorted({f for c in cols for f in c[2]}))
+        sample = wb.top_radius(r)
+        assert (sample.log_radius, sample.flags) == (radii._capped_radius(module.p, r, top),
+                                                     flags)
     picks = [count - d for d in range(3) if count - d >= 1]
     stack = SeriesMatrix.vstack([ref[s] for s in picks]).map(
         lambda c: c.truncate(16) if c.order > 16 else c)
@@ -194,7 +225,9 @@ def test_scaled_iterates_match_series_recursion():
             continue
         for m in (module, module.dual()):
             it = assert_matches_reference(m, 60)
-            assert len(it.mats.ints) == 61
+            # all 61 iterates on the integer route: no handover step
+            assert sorted(it.steps) == it.probe_steps()
+            assert sorted(it.records) == list(it.tail_range())
         covered.append(name)
     assert {"ex44_p5", "dual_ex44_p5", "rank3_n2_p5", "sum_exp_cancel_p5"} <= set(covered)
 
@@ -202,8 +235,8 @@ def test_scaled_iterates_match_series_recursion():
 def test_scaled_iterates_with_denominators():
     # D = 30 and v_5(D) = 1: the scaled iterates carry a power of p
     A = SeriesMatrix.from_rational_rows(5, [[[0], [F(-1, 2)]], [[F(1, 3)], [0, F(-1, 5)]]])
-    it = assert_matches_reference(DifferentialModule(A, "denominators"), 60)
-    assert it.mats.D == 30
+    assert_matches_reference(DifferentialModule(A, "denominators"), 60)
+    assert radii._exact_scale(A) == 30
 
 
 def _count_matmuls(monkeypatch):
@@ -221,10 +254,11 @@ def test_scaled_iterates_hand_over_before_a_demotion(monkeypatch):
     module = DifferentialModule(SeriesMatrix.from_rational_rows(5, [[[c]]]), "huge")
     calls = _count_matmuls(monkeypatch)
     it = assert_matches_reference(module, 6)
-    assert len(it.mats.ints) == 3
+    assert [s for s, _ in radii._scaled_iterates(module.matrix, 1, 6)] == [0, 1, 2]
+    assert sorted(it.steps) == [2, 3, 4, 5, 6]
     assert len(calls) == 6 - 2 + 6      # the handover's steps, then the reference's
-    assert it.mats[2].entries[0][0].coeffs[0].exact == c ** 2
-    big = it.mats[3].entries[0][0].coeffs[0]
+    assert it.steps[2].entries[0][0].coeffs[0].exact == c ** 2
+    big = it.steps[3].entries[0][0].coeffs[0]
     assert big.exact is None and (c ** 3).bit_length() > DEMOTE_BITS
 
 

@@ -18,6 +18,10 @@ PYTHONPATH picks the tree whose reports are written.  The runs:
 - verify-conjecture on ex44_p5 at --iterates 400 and 800, where the
   scaled integer Taylor iterates reach 1,462 and 3,313 bits: well past
   the default's, still inside DEMOTE_BITS;
+- verify-conjecture on exp_small_p5 at --order 600, where the
+  horizontal section's coefficients from t**573 on pass DEMOTE_BITS and
+  are demoted: the top 28 sums of the full-branch inverse, and of
+  frame @ theta, then meet capped pairs and are folded pair by pair;
 - corpus --jobs 2.
 
 Run NAME leaves NAME.json (its report without the timestamp key),
@@ -61,6 +65,8 @@ def runs():
     for count in ("400", "800"):
         yield ("verify-conjecture.iterates%s.ex44_p5" % count,
                ["verify-conjecture", "ex44_p5", "--iterates", count])
+    yield ("verify-conjecture.order600.exp_small_p5",
+           ["verify-conjecture", "exp_small_p5", "--order", "600"])
     yield "corpus", ["corpus", "--jobs", "2"]
 
 

@@ -17,7 +17,7 @@ A_k = min over its pairs of min(abs_x + v_y, v_x + abs_y), two min-plus
 convolutions, and is the packed value mod p**A_k: a capped sum is the
 true sum to the least precision of its terms, in any order.  Pairs of
 exact coefficients settle the coefficients no other pair reaches, in an
-exact run (_ExactRuns).  The whole product is summed pair by pair
+exact sum (_ExactRuns).  The whole product is summed pair by pair
 instead when one of those sums is demoted, or when the operands'
 valuations spread so far that the packed ints would be mostly zeros.
 Products of exact series always are, since their coefficients are
@@ -28,8 +28,9 @@ produced it, so exact results do not depend on the order of the
 operations.  The one order-dependent event left is the demotion of a
 partial exact sum past DEMOTE_BITS: which partial sums exist, and so
 which are demoted, depends on the order of the additions.  A pairwise
-sum runs its exact pairs as integers (_ExactRuns), and demotes just what
-adding them one at a time would.
+sum (_ExactRuns) demotes just what adding its pairs one at a time would:
+an all-exact coefficient whose size bound shows that no partial sum can
+pass DEMOTE_BITS, in any order, is summed whole over one denominator.
 
 Division, horizontal sections and regular solves are online recursions,
 all run by one driver, _online: output s is a finishing step applied to
@@ -43,10 +44,12 @@ are summed pairwise.  Every pair then has a non-exact factor, so each
 sum is the true sum mod p**A_k however the pairs are grouped, and no
 exact partial sum can be demoted.  Any other recursion is one block,
 whose pairs are subtracted in the order the caller lists them: that
-order is data, since it decides which partial exact sums are demoted.
-Blocking and exact runs keep the pairwise fold, so every v, unit and N
-is the pairwise loop's; Newton iteration would be faster asymptotically
-but would change the precision of the coefficients the reports print.
+order is data, since it decides which partial exact sums are demoted in
+an output that is not summed whole.
+Blocking and whole sums keep the pairwise fold's values, so every v,
+unit and N is the pairwise loop's; Newton iteration would be faster
+asymptotically but would change the precision of the coefficients the
+reports print.
 """
 
 from __future__ import annotations
@@ -55,8 +58,8 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
-from operator import add
+from itertools import islice, repeat
+from operator import add, is_, mul
 
 from padiff.padic import DEMOTE_BITS, PadicNumber, PrecisionError, vp_int
 
@@ -384,52 +387,86 @@ def _product_loop(p: int, a: list[PadicNumber], b: list[PadicNumber], hi: int,
 
 class _ExactRuns:
     """Slot k is the left fold out[k] = out[k] + x * y (- x * y when sign
-    is -1) over the pairs add receives, field for field.  While they are
-    exact, its sum is an integer numerator over the lcm of their
-    denominators, made a PadicNumber once, in values.  The fold demotes
-    a pair product or partial sum whose reduced form passes DEMOTE_BITS,
-    so a gcd is due only when the unreduced one does.  The run ends at
-    such a demotion or at a capped or inexact-zero factor, and
-    PadicNumber operations sum the rest of the slot.
+    is -1) over the pairs add receives, in call order, field for field.
+    values resolves each slot: a slot of more than one pair is summed
+    whole (_whole) when that provably demotes nothing, and any other slot
+    is folded (_fold).
     """
 
-    __slots__ = ("p", "out", "sign", "runs")
+    __slots__ = ("p", "out", "sign", "pairs")
 
     def __init__(self, p: int, start: list[PadicNumber], sign: int):
         self.p = p
-        self.out = start        # each slot's value, unless it is in a run
+        self.out = start        # each slot's start value, until values
         self.sign = sign
-        self.runs: dict = {}    # slot -> (num, den)
+        self.pairs: dict = {}   # slot -> [x, y, x, y, ...] in call order
 
     def add(self, k: int, x: PadicNumber, y: PadicNumber) -> None:
-        """Fold the pair product x * y of two nonzero values into slot k."""
-        if x.exact is not None and y.exact is not None:
-            run = self.runs.get(k)
-            if run is None:
-                z = self.out[k].exact
-                run = None if z is None else (z.numerator, z.denominator)
-            term = run and self._term(x, y)
+        """Record the pair product x * y of two nonzero values for slot k."""
+        self.pairs.setdefault(k, []).extend((x, y))
+
+    def values(self) -> list[PadicNumber]:
+        for k, pairs in self.pairs.items():
+            z = self.out[k]
+            self.out[k] = (len(pairs) > 2 and self._whole(z, pairs)) or self._fold(z, pairs)
+        return self.out
+
+    def _whole(self, z: PadicNumber, pairs: list) -> PadicNumber | None:
+        """The slot as one integer sum over L, or None unless every value
+        is exact and L and sum |n_i| L / d_i fit in DEMOTE_BITS: d_i is
+        den(x) den(y), n_i is +-num(x) num(y), the start is one more term,
+        and L is the largest d_i if the others divide it, else their lcm.
+        Every partial sum and pair product of the fold then has a
+        denominator dividing L and a |numerator| within that sum, so the
+        fold demotes nothing and gives this rational total.
+        """
+        qs = [c.exact for c in pairs]
+        if z.exact is None or any(map(is_, qs, repeat(None))):
+            return None
+        xs, ys = qs[0::2], qs[1::2]
+        nums = [x.numerator * y.numerator for x, y in zip(xs, ys)]
+        dens = [x.denominator * y.denominator for x, y in zip(xs, ys)]
+        # the start is one more term, signed so that the sign below cancels
+        nums.append(self.sign * z.exact.numerator)
+        dens.append(z.exact.denominator)
+        L = max(dens)
+        if L.bit_length() > DEMOTE_BITS:
+            return None
+        factors, rests = zip(*map(divmod, repeat(L), dens))
+        if any(rests):
+            L = math.lcm(*dens)
+            factors = map(L.__floordiv__, dens)
+        terms = list(map(mul, nums, factors))
+        if max(L, sum(map(abs, terms))).bit_length() > DEMOTE_BITS:
+            return None
+        return PadicNumber._from_exact(Fraction(self.sign * sum(terms), L), self.p)
+
+    def _fold(self, z: PadicNumber, pairs: list) -> PadicNumber:
+        """The pairwise fold of one slot from z.  While its pairs are
+        exact, its sum is an integer numerator over the lcm of their
+        denominators, made a PadicNumber once.  A gcd is due only when a
+        pair product or partial sum passes DEMOTE_BITS unreduced, and the
+        fold demotes it if it still does reduced.  That, or a capped or
+        inexact-zero factor, ends the run: PadicNumber operations sum the rest.
+        """
+        run = None              # z as (num, den) while the run lasts
+        it = iter(pairs)
+        for x, y in zip(it, it):
+            start = run or (z.exact is not None and (z.exact.numerator, z.exact.denominator))
+            term = start and x.exact is not None and y.exact is not None and self._term(x, y)
             if term:
-                (num, den), (n, d) = run, term
+                (num, den), (n, d) = start, term
                 g = math.gcd(den, d)
                 num, den = num * (d // g) + n * (den // g), den // g * d
                 run = _reduced(num, den)
                 if run is None:
                     # the partial sum is demoted, and the run ends capped
-                    self.runs.pop(k, None)
-                    self.out[k] = PadicNumber._from_exact(Fraction(num, den), self.p)
-                else:
-                    self.runs[k] = run
-                return
-        if k in self.runs:
-            self.out[k] = PadicNumber._from_exact(Fraction(*self.runs.pop(k)), self.p)
-        z = self.out[k]
-        self.out[k] = z + x * y if self.sign > 0 else z - x * y
-
-    def values(self) -> list[PadicNumber]:
-        for k, run in self.runs.items():
-            self.out[k] = PadicNumber._from_exact(Fraction(*run), self.p)
-        return self.out
+                    z = PadicNumber._from_exact(Fraction(num, den), self.p)
+                continue
+            if run:
+                z, run = PadicNumber._from_exact(Fraction(*run), self.p), None
+            z = z + x * y if self.sign > 0 else z - x * y
+        return z if run is None else PadicNumber._from_exact(Fraction(*run), self.p)
 
     def _term(self, x: PadicNumber, y: PadicNumber) -> tuple[int, int] | None:
         n = self.sign * x.exact.numerator * y.exact.numerator
@@ -457,7 +494,7 @@ def _packed_product(p: int, a: list[PadicNumber], b: list[PadicNumber],
     pair products mod p**A_k whatever the order of the additions.  So the
     values come from one product of the operands' integer digits packed
     at a fixed slot width.  The other coefficients sum their exact pairs
-    in _product_loop's exact runs.  None when one of those sums is
+    in _product_loop's exact sums.  None when one of those sums is
     demoted past DEMOTE_BITS, since the demoted value's DEFAULT_PRECISION
     digits then cap A_k and which partial sums are demoted depends on the
     order of the additions; None too when a slot would span far more
@@ -563,7 +600,8 @@ def _online(p: int, ops, rhs, finish, out: list, count: int) -> list:
     none is exact and nonzero, else in one block.  An exact value caches
     DEFAULT_PRECISION digits whatever produced it, but a partial exact
     sum past DEMOTE_BITS is demoted, and which partial sums exist depends
-    on the order of the subtractions: one block keeps the caller's.  A
+    on the order of the subtractions: one block keeps the caller's (an
+    output _ExactRuns sums whole is the same in any order).  A
     block's history, the pairs whose earlier output lies before it, is
     one packed product per operator entry (i, l), or the pairwise loop
     when that declines.

@@ -17,6 +17,7 @@ packed product's demotion fallback are checked against their reference
 loops with ==.
 """
 
+import math
 import sys
 from fractions import Fraction
 from functools import reduce
@@ -909,3 +910,68 @@ def test_product_and_divide_with_one_pair_per_coefficient():
     got = f.divide(g, 2)
     assert got == ref_divide(f, g, 2)
     assert all(c.exact is not None for c in got.coeffs)
+
+
+# A slot whose start and pairs are all exact is summed whole when its
+# size bound shows that the fold would demote nothing; the others fold.
+
+def record_folds(monkeypatch) -> list:
+    """Install a recorder of the slots of more than one pair that
+    _ExactRuns folds pair by pair; each records its number of pairs."""
+    fold = series_module._ExactRuns._fold
+    calls = []
+
+    def recording(self, z, pairs):
+        if len(pairs) > 2:
+            calls.append(len(pairs) // 2)
+        return fold(self, z, pairs)
+
+    monkeypatch.setattr(series_module._ExactRuns, "_fold", recording)
+    return calls
+
+
+def exp_series(c: int, order: int) -> TruncatedSeries:
+    return exact_series([Fraction(c ** k, math.factorial(k)) for k in range(order + 1)], False)
+
+
+def test_exact_slots_are_summed_whole(monkeypatch):
+    calls = record_folds(monkeypatch)
+    f, g = exp_series(-5, 120), exp_series(5, 120)
+    got = f * g
+    assert got == ref_mul(f, g)
+    assert [c.exact for c in got.coeffs] == [1] + [0] * 120
+    mod = corpus.build("exp_small_p5").module
+    p, order = mod.p, 100
+    section = mod.solve_horizontal([PadicNumber.from_int(1, p)], order)[0]
+    frame = SeriesMatrix(p, [[section]])
+    assert (invert_regular(frame, order).entries
+            == ref_solve_regular(frame, SeriesMatrix.identity(p, 1), order).entries)
+    assert calls == []
+
+
+def test_whole_sum_certificate_boundaries(monkeypatch):
+    calls = record_folds(monkeypatch)
+    # coefficient 1 is 2 / 2**(a + b) over two pairs of denominator
+    # 2**(a + b): certified at DEMOTE_BITS bits; one bit past, the fold
+    # demotes the first pair product
+    b = DEMOTE_BITS - 2048
+    for a, past in ((2047, False), (2048, True)):
+        assert (2 ** (a + b)).bit_length() == DEMOTE_BITS + past
+        f = exact_series([Fraction(1, 2 ** a)] * 2)
+        g = exact_series([Fraction(1, 2 ** b)] * 2)
+        got = f * g
+        assert got == ref_mul(f, g)
+        assert calls == ([2] if past else [])
+        assert (got.coeffs[1].exact is None) == past
+        calls.clear()
+    # denominators 33 and 35: neither divides the other, and their lcm fits
+    f = exact_series([Fraction(1, 3), Fraction(1, 7)])
+    g = exact_series([Fraction(1, 5), Fraction(1, 11)])
+    got = f * g
+    assert got == ref_mul(f, g) and got.coeffs[1].exact == Fraction(1, 33) + Fraction(1, 35)
+    assert calls == []
+    # the lcm D1 * D2 of (1/D1) * D1 + (1/D2) * D2 passes DEMOTE_BITS: the
+    # fold sums it, and it stays exactly 2
+    got = exact_series([Fraction(1, D1), Fraction(1, D2)]) * exact_series([D2, D1])
+    assert got.coeffs[1].exact == 2
+    assert calls == [2]

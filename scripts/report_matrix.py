@@ -14,7 +14,9 @@ PYTHONPATH picks the tree whose reports are written.  The runs:
 - verify-conjecture at the default config (order 400, 200 iterates) on
   the four bundled description files and on exp_small_p5 and ex44_p5,
   whose exact routes (the full-branch inverse and the Taylor iterates)
-  then reach full size, and on hypergeom_half_p5 at --iterates 64;
+  then reach full size, and on hypergeom_half_p3, _p5 and _p7 at
+  --iterates 64, the capped route (packed products, capped slot sums) at
+  three primes;
 - verify-conjecture on ex44_p5 at --iterates 400 and 800, where the
   scaled integer Taylor iterates reach 1,462 and 3,313 bits: well past
   the default's, still inside DEMOTE_BITS;
@@ -60,8 +62,9 @@ def runs():
         yield "verify-conjecture.default.%s" % path.stem, ["verify-conjecture", str(path)]
     for module in DEFAULT_MODULES:
         yield "verify-conjecture.default.%s" % module, ["verify-conjecture", module]
-    yield ("verify-conjecture.hypergeom_half_p5",
-           ["verify-conjecture", "hypergeom_half_p5", "--iterates", "64"])
+    for prime in ("3", "5", "7"):
+        module = "hypergeom_half_p" + prime
+        yield "verify-conjecture." + module, ["verify-conjecture", module, "--iterates", "64"]
     for count in ("400", "800"):
         yield ("verify-conjecture.iterates%s.ex44_p5" % count,
                ["verify-conjecture", "ex44_p5", "--iterates", count])

@@ -15,7 +15,10 @@ valuation, packed side by side into one big int, and the two are
 multiplied once (Kronecker substitution).  Coefficient k is known to
 A_k = min over its pairs of min(abs_x + v_y, v_x + abs_y), two min-plus
 convolutions, and is the packed value mod p**A_k: a capped sum is the
-true sum to the least precision of its terms, in any order.  Pairs of
+true sum to the least precision of its terms, in any order.  Where the
+entries of one operand that reach k all hold one abs (or one v), a
+convolution is that value plus the other operand's minimum over k's
+window, a running prefix minimum or the minimum of a slice.  Pairs of
 exact coefficients settle the coefficients no other pair reaches, in an
 exact sum (_ExactRuns).  The whole product is summed pair by pair
 instead when one of those sums is demoted, or when the operands'
@@ -31,6 +34,10 @@ which are demoted, depends on the order of the additions.  A pairwise
 sum (_ExactRuns) demotes just what adding its pairs one at a time would:
 an all-exact coefficient whose size bound shows that no partial sum can
 pass DEMOTE_BITS, in any order, is summed whole over one denominator.
+Once a coefficient's exact run ends (a capped or inexact-zero pair, a
+demotion, a capped start), the rest is one capped sum: the value so far
+and each later pair product x * y are residues at their least valuation,
+added as one integer mod p**A and normalised once, A their least abs_prec.
 
 Division, horizontal sections and regular solves are online recursions,
 all run by one driver, _online: output s is a finishing step applied to
@@ -46,20 +53,19 @@ exact partial sum can be demoted.  Any other recursion is one block,
 whose pairs are subtracted in the order the caller lists them: that
 order is data, since it decides which partial exact sums are demoted in
 an output that is not summed whole.
-Blocking and whole sums keep the pairwise fold's values, so every v,
-unit and N is the pairwise loop's; Newton iteration would be faster
-asymptotically but would change the precision of the coefficients the
-reports print.
+Blocking, whole sums and capped sums keep the pairwise fold's values,
+so every v, unit and N is the pairwise loop's; Newton iteration would be
+faster asymptotically but would change the precision of the coefficients
+the reports print.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice, repeat
-from operator import add, is_, mul
+from itertools import accumulate, chain, compress, product, repeat
+from operator import add, and_, is_, mul
 
 from padiff.padic import DEMOTE_BITS, PadicNumber, PrecisionError, vp_int
 
@@ -364,52 +370,53 @@ def _product_loop(p: int, a: list[PadicNumber], b: list[PadicNumber], hi: int,
                   exact_only: bool, lo: int = 0) -> list[PadicNumber]:
     """Coefficients lo..hi of a*b, each folding its pairs by ascending
     index of a (_ExactRuns); those below lo are left at the exact zero.
+    A slot is summed as soon as its pairs are listed, so no more than one
+    slot's pairs are held at a time.
 
     With exact_only, only pairs of exact nonzero coefficients are summed.
     """
-    if exact_only:
-        xs = [(i, x) for i, x in enumerate(a) if x.u and x.exact is not None]
-        ys = [(j, y) for j, y in enumerate(b) if y.u and y.exact is not None]
-    else:
-        xs = [(i, x) for i, x in enumerate(a) if not x.is_exact_zero]
-        ys = [(j, y) for j, y in enumerate(b) if not y.is_exact_zero]
-    js = [j for j, _ in ys]
-    sums = _ExactRuns(p, [PadicNumber.exact_zero(p)] * (hi + 1), 1)
-    add = sums.add
-    for i, x in xs:
-        jmax = hi - i
-        for j, y in islice(ys, bisect_left(js, lo - i), None):
-            if j > jmax:
-                break
-            add(i + j, x, y)
-    return sums.values()
+    ka, kb = ([c.u != 0 and c.exact is not None for c in s] if exact_only
+              else [c.u != 0 or c.exact is None for c in s] for s in (a, b))
+    out = [PadicNumber.exact_zero(p)] * (hi + 1)
+    if True not in ka or True not in kb:
+        return out
+    # a0..a1 and b0..b1 span the kept coefficients of a and b
+    a0, a1 = ka.index(True), len(a) - 1 - ka[::-1].index(True)
+    b0, b1 = kb.index(True), len(b) - 1 - kb[::-1].index(True)
+    sums = _ExactRuns(p, 1)
+    if a0 == a1 or b0 == b1:
+        # a side c * t**e: a slot has at most one pair
+        for i, j in product(range(a0, a1 + 1), range(b0, b1 + 1)):
+            if ka[i] and kb[j] and lo <= i + j <= hi:
+                out[i + j] = sums.slot(out[i + j], [a[i], b[j]])
+        return out
+    rb, rkb = b[::-1], kb[::-1]
+    for k in range(max(lo, a0 + b0), min(hi, a1 + b1) + 1):
+        # pairs (i, k - i) for i in i0..i1-1, read off the reversed b
+        i0, i1, o = max(a0, k - b1), min(a1, k - b0) + 1, len(b) - 1 - k
+        both = list(map(and_, ka[i0:i1], rkb[o + i0:o + i1]))
+        if True in both:
+            out[k] = sums.slot(out[k], list(chain.from_iterable(
+                compress(zip(a[i0:i1], rb[o + i0:o + i1]), both))))
+    return out
 
 
 class _ExactRuns:
-    """Slot k is the left fold out[k] = out[k] + x * y (- x * y when sign
-    is -1) over the pairs add receives, in call order, field for field.
-    values resolves each slot: a slot of more than one pair is summed
-    whole (_whole) when that provably demotes nothing, and any other slot
-    is folded (_fold).
+    """A slot is the left fold z + x * y (- x * y when sign is -1) over
+    its pairs [x, y, x, y, ...] of nonzero values, in list order, field
+    for field.  A slot of more than one pair is summed whole (_whole)
+    when that provably demotes nothing, and any other slot is folded
+    (_fold).
     """
 
-    __slots__ = ("p", "out", "sign", "pairs")
+    __slots__ = ("p", "sign")
 
-    def __init__(self, p: int, start: list[PadicNumber], sign: int):
+    def __init__(self, p: int, sign: int):
         self.p = p
-        self.out = start        # each slot's start value, until values
         self.sign = sign
-        self.pairs: dict = {}   # slot -> [x, y, x, y, ...] in call order
 
-    def add(self, k: int, x: PadicNumber, y: PadicNumber) -> None:
-        """Record the pair product x * y of two nonzero values for slot k."""
-        self.pairs.setdefault(k, []).extend((x, y))
-
-    def values(self) -> list[PadicNumber]:
-        for k, pairs in self.pairs.items():
-            z = self.out[k]
-            self.out[k] = (len(pairs) > 2 and self._whole(z, pairs)) or self._fold(z, pairs)
-        return self.out
+    def slot(self, z: PadicNumber, pairs: list) -> PadicNumber:
+        return (len(pairs) > 2 and self._whole(z, pairs)) or self._fold(z, pairs)
 
     def _whole(self, z: PadicNumber, pairs: list) -> PadicNumber | None:
         """The slot as one integer sum over L, or None unless every value
@@ -447,7 +454,7 @@ class _ExactRuns:
         denominators, made a PadicNumber once.  A gcd is due only when a
         pair product or partial sum passes DEMOTE_BITS unreduced, and the
         fold demotes it if it still does reduced.  That, or a capped or
-        inexact-zero factor, ends the run: PadicNumber operations sum the rest.
+        inexact-zero factor, ends the run, and the rest is one capped sum.
         """
         run = None              # z as (num, den) while the run lasts
         it = iter(pairs)
@@ -464,9 +471,28 @@ class _ExactRuns:
                     z = PadicNumber._from_exact(Fraction(num, den), self.p)
                 continue
             if run:
-                z, run = PadicNumber._from_exact(Fraction(*run), self.p), None
-            z = z + x * y if self.sign > 0 else z - x * y
+                z = PadicNumber._from_exact(Fraction(*run), self.p)
+            return self._capped([z, x * y, *map(mul, it, it)])
         return z if run is None else PadicNumber._from_exact(Fraction(*run), self.p)
+
+    def _capped(self, terms: list) -> PadicNumber:
+        """terms[0] + sign * sum(terms[1:]), terms[0] or terms[1] capped or an
+        inexact zero, normalised once as PadicNumber._addsub normalises a sum
+        of two: each fold step is such a sum, so this is the fold's value.
+        """
+        p = self.p
+        A = min(c.v + c.N for c in terms if c.exact is None)
+        base = min(c.v for c in terms if c.u or c.exact is None)
+        k = A - base
+        if k <= 0:
+            return PadicNumber.inexact_zero(p, A)
+        res = [(c.u if c.exact is None else c._unit_to(k - d)) * p ** d
+               if c.u and (d := c.v - base) < k else 0 for c in terms]
+        w = (res[0] + self.sign * sum(res[1:])) % p ** k
+        if not w:
+            return PadicNumber.inexact_zero(p, A)
+        j = vp_int(w, p)
+        return PadicNumber.approximate(p, base + j, w // p ** j, k - j)
 
     def _term(self, x: PadicNumber, y: PadicNumber) -> tuple[int, int] | None:
         n = self.sign * x.exact.numerator * y.exact.numerator
@@ -549,19 +575,31 @@ def _precision(a: list[PadicNumber], b: list[PadicNumber], hi: int,
     pairs and pairs with an exact-zero factor drop out; A_k is math.inf
     when no other pair reaches k.
     """
-    abs_a = [c.v + c.N if c.exact is None else math.inf for c in reversed(a)]
-    v_a = [math.inf if c.is_exact_zero else c.v for c in reversed(a)]
+    abs_a = [c.v + c.N if c.exact is None else math.inf for c in a]
+    v_a = [math.inf if c.is_exact_zero else c.v for c in a]
     abs_b = [c.v + c.N if c.exact is None else math.inf for c in b]
     v_b = [math.inf if c.is_exact_zero else c.v for c in b]
-    la, lb = len(a), len(b)
-    out = [math.inf] * lo
-    for k in range(lo, hi + 1):
-        # pairs (k - j, j) for j in j0..top-1, read off the reversed a
-        j0, top = max(0, k - la + 1), min(k, lb - 1) + 1
-        o = la - 1 - k
-        out.append(min(min(map(add, abs_a[o + j0:o + top], v_b[j0:top]), default=math.inf),
-                       min(map(add, v_a[o + j0:o + top], abs_b[j0:top]), default=math.inf)))
-    return out
+    return [math.inf] * lo + list(map(min, _min_plus(abs_a, v_b, hi, lo),
+                                      _min_plus(v_a, abs_b, hi, lo)))
+
+
+def _min_plus(f: list, g: list, hi: int, lo: int) -> list:
+    """min over i + j = k of f[i] + g[j] for k = lo..hi, math.inf when no
+    pair reaches k; alpha plus a window minimum of one operand when every
+    entry of the other that reaches the band is alpha.
+    """
+    for x, y in ((f, g), (g, f)):
+        lx, ly = len(x), len(y)
+        vals = set(x[max(0, lo - ly + 1):hi + 1])
+        if len(vals) == 1:
+            (alpha,), pre = vals, list(accumulate(y, min))
+            return [alpha + (pre[min(k, ly - 1)] if k < lx
+                             else min(y[k - lx + 1:k + 1], default=math.inf))
+                    for k in range(lo, hi + 1)]
+    # pairs (k - j, j) from j = max(0, k - lf + 1), read off the reversed f
+    rf, lf = f[::-1], len(f)
+    return [min(map(add, rf[max(lf - 1 - k, 0):lf + len(g) - 1 - k], g[max(0, k - lf + 1):k + 1]),
+                default=math.inf) for k in range(lo, hi + 1)]
 
 
 def _digits(coeffs: list[PadicNumber], base: int, K: int, pw: list[int]) -> list[int]:
@@ -612,6 +650,7 @@ def _online(p: int, ops, rhs, finish, out: list, count: int) -> list:
     # only a delay below step can pair two outputs of one block
     near = [[t for t in triples if t[0] < step] for triples in ops]
     zero = PadicNumber.exact_zero(p)
+    runs = _ExactRuns(p, -1)
     for b0 in range(0, count, step):
         b1 = min(b0 + step, count)
         history = [[zero] * (b1 - b0) for _ in ops]
@@ -628,13 +667,11 @@ def _online(p: int, ops, rhs, finish, out: list, count: int) -> list:
                             or _product_loop(p, known[l], op, b1 - 2, False, b0 - 1))
                     history[i] = [x + y for x, y in zip(history[i], sums[b0 - 1:])]
         for s in range(max(b0, len(out)), b1):
-            sums = _ExactRuns(p, [rhs(s, i) - history[i][s - b0] for i in range(len(ops))], -1)
+            r = [rhs(s, i) - history[i][s - b0] for i in range(len(ops))]
             for i, triples in enumerate(near):
-                for d, l, c in triples:
-                    if s - d < b0:
-                        continue
-                    x = out[s - d][l]
-                    if not x.is_exact_zero:
-                        sums.add(i, c, x)
-            out.append(finish(s, sums.values()))
+                pairs = [v for d, l, c in triples if s - d >= b0
+                         and not (x := out[s - d][l]).is_exact_zero for v in (c, x)]
+                if pairs:
+                    r[i] = runs.slot(r[i], pairs)
+            out.append(finish(s, r))
     return out

@@ -108,3 +108,28 @@ def monomial(p: int, k: int) -> TruncatedSeries:
 def is_zero(A: SeriesMatrix) -> bool:
     """Every known coefficient of every entry is exactly zero."""
     return all(c.is_zero_series() for row in A.entries for c in row)
+
+
+def precision_oracle(a: list[PadicNumber], b: list[PadicNumber], hi: int,
+                     lo: int = 0) -> list:
+    """A_k of the product a*b for k = 0..hi by its definition, math.inf
+    below lo: the min over the pairs (i, k - i) of
+    min(abs_prec(x) + v(y), v(x) + abs_prec(y)), v infinite on the exact
+    zero; math.inf when no pair reaches k."""
+    out = [math.inf] * lo
+    for k in range(lo, hi + 1):
+        best = math.inf
+        for i in range(max(0, k - len(b) + 1), min(k, len(a) - 1) + 1):
+            x, y = a[i], b[k - i]
+            best = min(best, x.abs_prec + y.val_lower_bound(),
+                       x.val_lower_bound() + y.abs_prec)
+        out.append(best)
+    return out
+
+
+def fold_oracle(z: PadicNumber, pairs: list[PadicNumber], sign: int) -> PadicNumber:
+    """z + x * y (z - x * y when sign is -1) over the pairs [x, y, x, y, ...]
+    in order, one PadicNumber operation at a time."""
+    for x, y in zip(pairs[0::2], pairs[1::2]):
+        z = z + x * y if sign > 0 else z - x * y
+    return z

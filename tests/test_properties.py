@@ -27,7 +27,7 @@ from operator import add
 from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
-from oracles import agrees, norm_exponent
+from oracles import agrees, fold_oracle, norm_exponent, precision_oracle
 from test_linalg import check_reconstruction
 from padiff import corpus
 from padiff import series as series_module
@@ -975,3 +975,86 @@ def test_whole_sum_certificate_boundaries(monkeypatch):
     got = exact_series([Fraction(1, D1), Fraction(1, D2)]) * exact_series([D2, D1])
     assert got.coeffs[1].exact == 2
     assert calls == [2]
+
+
+# The packed product's precision A_k reads a uniform operand as a window
+# minimum of the other, and a slot's pairs past its exact run are one
+# capped sum: both must give the pairwise definitions' values.
+
+def make_uniform_coeff(p: int, code: int, kind: str, level: int) -> PadicNumber:
+    """A coefficient of an operand whose abs_prec (kind "abs") or
+    valuation (kind "v") is level throughout, or an exact nonzero value
+    (kind "exact", abs_prec infinite); by code % 16, one in 16 is an
+    exact zero and one an exact value instead, which break the pattern.
+    """
+    sel, rest = code % 16, code // 16
+    if sel == 0:
+        return PadicNumber.exact_zero(p)
+    if sel == 1 or kind == "exact":
+        return make_coeff(p, rest * 6)
+    if sel == 2:
+        return PadicNumber.inexact_zero(p, level)
+    unit = rest // 7 * p + 1
+    if kind == "abs":
+        v = level - 1 - rest % 7
+        return PadicNumber.approximate(p, v, unit, level - v)
+    if rest % 2:
+        return PadicNumber.approximate(p, level, unit, 1 + rest % 60)
+    return padic(Fraction(unit) * Fraction(p) ** level, p)
+
+
+@st.composite
+def precision_cases(draw):
+    """Two operands of lengths 1..40, each uniform in abs_prec or in v,
+    all exact or drawn freely, with a band lo..hi: from 0, or shaped like
+    a block history of _online (the shorter operand the outputs 0..lo
+    known, the longer one the operator's entries 0..hi)."""
+    p = draw(PRIMES)
+    sides = []
+    for _ in range(2):
+        n, level = draw(st.integers(1, 40)), draw(st.integers(-3, 6))
+        kind = draw(st.sampled_from(("abs", "v", "exact", "free")))
+        sides.append([make_coeff(p, c) if kind == "free"
+                      else make_uniform_coeff(p, c, kind, level) for c in draw(codes(n))])
+    a, b = sides
+    if draw(st.booleans()):
+        a, b = sorted((a, b), key=len)
+        return a, b, len(b) - 1, len(a) - 1
+    return a, b, draw(st.integers(0, len(a) + len(b) - 2)), 0
+
+
+@given(precision_cases())
+@SUITE
+def test_precision_matches_pairwise_definition(case):
+    a, b, hi, lo = case
+    assert series_module._precision(a, b, hi, lo) == precision_oracle(a, b, hi, lo)
+
+
+def make_factor(p: int, code: int) -> PadicNumber:
+    """A nonzero pair factor: make_coeff with the exact zero swapped for
+    a capped value of 60 digits, past DEFAULT_PRECISION."""
+    if code % 6 == 5:
+        return PadicNumber.approximate(p, code // 6 % 5 - 2, code // 30 * p + 1, 60)
+    return make_coeff(p, code)
+
+
+@st.composite
+def slot_cases(draw):
+    """A slot start (exact, exact zero, capped or inexact zero), its
+    pairs, and a sign.  In half the cases two exact pairs lead whose
+    partial sum 1/D1 + 1/D2 passes DEMOTE_BITS, so the exact run is
+    demoted part way and later pairs meet a capped sum."""
+    p, sign = draw(PRIMES), draw(st.sampled_from((1, -1)))
+    z = make_coeff(p, draw(st.sampled_from((0, 2, 4, 5))) + 6 * draw(COEFF_CODES))
+    pairs = [make_factor(p, c) for c in draw(codes(2 * draw(st.integers(1, 8))))]
+    if draw(st.booleans()):
+        one = PadicNumber.from_int(1, p)
+        pairs = [padic(Fraction(1, D1), p), one, one, padic(Fraction(1, D2), p)] + pairs
+    return p, z, pairs, sign
+
+
+@given(slot_cases())
+@SUITE
+def test_slot_sum_matches_pairwise_fold(case):
+    p, z, pairs, sign = case
+    assert series_module._ExactRuns(p, sign).slot(z, pairs) == fold_oracle(z, pairs, sign)

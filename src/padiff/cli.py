@@ -615,8 +615,12 @@ def cmd_corpus(args, cfg) -> tuple[dict, int]:
 def _run(args) -> int:
     """Load the module (every subcommand but corpus takes one), build the
     config, run the subcommand, and write its report with the command
-    and config added."""
+    and config added.  An output path that is a directory, or whose
+    directory is missing, is refused first, before any work."""
     started = time.monotonic()
+    for path in (args.out, getattr(args, "csv", None), getattr(args, "svg", None)):
+        if path and (os.path.isdir(path) or not os.path.isdir(os.path.dirname(path) or ".")):
+            raise UsageError("not a file in an existing directory: %s" % path)
     if "module" in args:
         name, module, expected, orders = _load(args.module)
         cfg = _config(args, orders)

@@ -8,6 +8,11 @@ produced it, and expands more digits from the rational on demand.  Exact
 rationals whose numerator or denominator outgrows a size budget are
 demoted to capped form, keeping those digits; the valuation stays exact
 under demotion, only trailing digits are dropped.
+
+A sum with a capped or inexact-zero term is the true sum to the least
+absolute precision among its terms, in any order.  capped_sum is that
+rule, for two terms (PadicNumber addition) or many (the series kernels),
+and approximate is the one normaliser of a residue into v, unit and N.
 """
 
 from __future__ import annotations
@@ -18,9 +23,6 @@ DEFAULT_PRECISION = 48
 
 # exact rationals larger than this (in bits) are demoted to capped form
 DEMOTE_BITS = 4096
-
-_INF = float("inf")
-
 
 class PrecisionError(ArithmeticError):
     """A result was requested beyond the precision the inputs justify."""
@@ -110,17 +112,13 @@ class PadicNumber:
     @classmethod
     def approximate(cls, p: int, v: int, u: int, N: int) -> "PadicNumber":
         """Capped value u * p**v + O(p**(v+N)); u need not be reduced."""
-        if N <= 0 or u == 0:
-            return cls(p, v + max(N, 0), 0, 0, None)
-        u %= p ** N
-        if u == 0:
-            return cls(p, v + N, 0, 0, None)
-        if u % p == 0:
-            j = vp_int(u, p)
-            if j >= N:
-                return cls(p, v + N, 0, 0, None)
-            return cls(p, v + j, (u // p ** j) % p ** (N - j), N - j, None)
-        return cls(p, v, u, N, None)
+        u = u % p ** N if N > 0 else 0
+        if not u:
+            return cls.inexact_zero(p, v + max(N, 0))
+        if u % p:
+            return cls(p, v, u, N, None)
+        j = vp_int(u, p)
+        return cls(p, v + j, u // p ** j, N - j, None)
 
     @classmethod
     def inexact_zero(cls, p: int, abs_prec: int) -> "PadicNumber":
@@ -158,29 +156,6 @@ class PadicNumber:
     def is_exact(self) -> bool:
         return self.exact is not None
 
-    @property
-    def abs_prec(self):
-        """Absolute precision exponent; +inf for exactly known values."""
-        if self.exact is not None:
-            return _INF
-        return self.v + self.N
-
-    def val_lower_bound(self):
-        """A sound lower bound on the valuation (+inf for the exact zero)."""
-        if self.is_exact_zero:
-            return _INF
-        return self.v
-
-    def residue(self, base_v: int, k: int) -> int:
-        """The integer (self * p**-base_v) mod p**k; requires v >= base_v."""
-        if k <= 0 or self.u == 0:
-            return 0
-        if self.v < base_v:
-            raise ValueError("residue requested below the valuation")
-        pk = self.p ** k
-        u = self.u if self.exact is None else self._unit_to(k)
-        return u * pow(self.p, self.v - base_v, pk) % pk
-
     # ------------------------------------------------------------------
     # arithmetic
 
@@ -193,21 +168,7 @@ class PadicNumber:
         if self.exact is not None and other.exact is not None:
             q = self.exact + other.exact if sign > 0 else self.exact - other.exact
             return PadicNumber._from_exact(q, p)
-        a = min(self.abs_prec, other.abs_prec)  # finite: one side is capped
-        a = int(a)
-        base = min(self.val_lower_bound(), other.val_lower_bound())
-        if base == _INF:
-            return PadicNumber.inexact_zero(p, a)
-        base = int(base)
-        k = a - base
-        if k <= 0:
-            return PadicNumber.inexact_zero(p, a)
-        w = (self.residue(base, k) + sign * other.residue(base, k)) % p ** k
-        if w == 0:
-            return PadicNumber.inexact_zero(p, a)
-        j = vp_int(w, p)
-        v = base + j
-        return PadicNumber.approximate(p, v, w // p ** j, a - v)
+        return capped_sum(p, [self, other], sign)
 
     def __add__(self, other):
         return self._addsub(other, 1)
@@ -307,6 +268,21 @@ class PadicNumber:
         if d["v"] == "inf":
             return cls.exact_zero(p)
         return cls.approximate(p, int(d["v"]), int(d["unit"]), int(d["precision"]))
+
+
+def capped_sum(p: int, terms: list[PadicNumber], sign: int) -> PadicNumber:
+    """terms[0] + sign * sum(terms[1:]), some term capped or an inexact
+    zero: the terms' residues at their least valuation base, added as one
+    integer mod p**(A - base), A their least absolute precision, and
+    normalised once by approximate."""
+    A = min(c.v + c.N for c in terms if c.exact is None)
+    base = min(c.v for c in terms if c.u or c.exact is None)
+    k = A - base
+    if k <= 0:
+        return PadicNumber.inexact_zero(p, A)
+    res = [(c.u if c.exact is None else c._unit_to(k - d)) * p ** d
+           if c.u and (d := c.v - base) < k else 0 for c in terms]
+    return PadicNumber.approximate(p, base, res[0] + sign * sum(res[1:]), k)
 
 
 _ZERO = Fraction(0)

@@ -123,11 +123,11 @@ class IterateWindowError(ValueError):
 class PowerIterates:
     """Taylor iterates of the horizontal frame of one module.
 
-    steps maps s to M_s for the iterates a read takes as a SeriesMatrix:
-    on the integer route the probe steps and the handover step, then
-    every iterate the series recursion builds.  records holds the
-    valuation records of the scaled tail iterates, taken as the integer
-    recursion runs; no integer iterate is kept past its read.
+    steps maps s to M_s for the tail iterates a read takes as a
+    SeriesMatrix: the probe steps on the integer route, then every tail
+    iterate the series recursion builds.  records holds the valuation
+    records of the scaled tail iterates, taken as the integer recursion
+    runs; no other iterate is kept past its use.
     """
 
     def __init__(self, module: DifferentialModule, count: int):
@@ -145,29 +145,30 @@ class PowerIterates:
         self.window = window
         self.steps: dict[int, SeriesMatrix] = {}
         self.records: dict[int, list] = {}
+        tail = self.tail_range()
         D = None if window is not None else _exact_scale(A)
         last = 0
         if D is None:
-            self.steps[0] = SeriesMatrix.identity(p, module.rank)
+            cur = SeriesMatrix.identity(p, module.rank)
         else:
             vD = vp_int(D, p)
-            tail, probes = self.tail_range(), self.probe_steps()
+            probes = self.probe_steps()
             for last, N in _scaled_iterates(A, D, count):
                 if last in tail:
                     self.records[last] = _column_records(N, last * vD, p)
                 if last in probes:
                     self.steps[last] = _exact_matrix(p, N, D ** last)
-            if last not in self.steps:
-                # the handover step
-                self.steps[last] = _exact_matrix(p, N, D ** last)
-        # the series recursion, from the handover step if there is one
+            # the handover step; in the tail, reads take its record
+            cur = self.steps[last] if last in probes else _exact_matrix(p, N, D ** last)
+        # the series recursion, from the handover step if there is one;
+        # only the tail is kept, since no read takes an earlier iterate
         for s in range(last, count):
-            cur = self.steps[s]
-            nxt = cur.derive() - (cur @ A)
+            cur = cur.derive() - (cur @ A)
             if window is not None:
                 cap = window + (count - s)
-                nxt = nxt.map(lambda c: c.truncate(cap) if c.order > cap else c)
-            self.steps[s + 1] = nxt
+                cur = cur.map(lambda c: c.truncate(cap) if c.order > cap else c)
+            if s + 1 in tail:
+                self.steps[s + 1] = cur
         # perfbench/spans.py counts the iterates and their coefficients here
         self.mats = list(self.steps.values())
         self._column_betas: dict = {}

@@ -20,7 +20,7 @@ entries of one operand that reach k all hold one abs (or one v), a
 convolution is that value plus the other operand's minimum over k's
 window, a running prefix minimum or the minimum of a slice.  Pairs of
 exact coefficients settle the coefficients no other pair reaches, in an
-exact sum (_ExactRuns).  The whole product is summed pair by pair
+exact sum (_slot).  The whole product is summed pair by pair
 instead when one of those sums is demoted, or when the operands'
 valuations spread so far that the packed ints would be mostly zeros.
 Products of exact series always are, since their coefficients are
@@ -31,13 +31,13 @@ produced it, so exact results do not depend on the order of the
 operations.  The one order-dependent event left is the demotion of a
 partial exact sum past DEMOTE_BITS: which partial sums exist, and so
 which are demoted, depends on the order of the additions.  A pairwise
-sum (_ExactRuns) demotes just what adding its pairs one at a time would:
-an all-exact coefficient whose size bound shows that no partial sum can
+sum (_slot) demotes just what adding its pairs one at a time would: an
+all-exact coefficient whose size bound shows that no partial sum can
 pass DEMOTE_BITS, in any order, is summed whole over one denominator.
 Once a coefficient's exact run ends (a capped or inexact-zero pair, a
-demotion, a capped start), the rest is one capped sum: the value so far
-and each later pair product x * y are residues at their least valuation,
-added as one integer mod p**A and normalised once, A their least abs_prec.
+demotion, a capped start), the rest is one padic.capped_sum of the value
+so far and each later pair product x * y, the rule PadicNumber addition
+uses for two terms.
 
 Division, horizontal sections and regular solves are online recursions,
 all run by one driver, _online: output s is a finishing step applied to
@@ -67,7 +67,7 @@ from fractions import Fraction
 from itertools import accumulate, chain, compress, product, repeat
 from operator import add, and_, is_, mul
 
-from padiff.padic import DEMOTE_BITS, PadicNumber, PrecisionError, vp_int
+from padiff.padic import DEMOTE_BITS, PadicNumber, PrecisionError, capped_sum, vp_int
 
 
 @dataclass(frozen=True)
@@ -228,12 +228,7 @@ class TruncatedSeries:
             raise ValueError("mixed primes")
         w = self._common_window(other)
         hi = self.order + other.order if w is None else w
-        a, b = self.coeffs[:hi + 1], other.coeffs[:hi + 1]
-        out = None
-        if any(c.exact is None for c in a) or any(c.exact is None for c in b):
-            out = _packed_product(self.p, a, b, hi)
-        if out is None:
-            out = _product_loop(self.p, a, b, hi, False)
+        out = _product(self.p, self.coeffs[:hi + 1], other.coeffs[:hi + 1], hi)
         return TruncatedSeries(self.p, out, w is None)
 
     def derive(self) -> "TruncatedSeries":
@@ -366,10 +361,21 @@ BLOCK = 32
 _SLOT_SLACK = 64
 
 
+def _product(p: int, a: list[PadicNumber], b: list[PadicNumber], hi: int,
+             lo: int = 0) -> list[PadicNumber]:
+    """Coefficients lo..hi of a*b, those below lo left at the exact zero:
+    packed when an operand holds a capped or inexact-zero coefficient and
+    _packed_product does not decline, else pair by pair."""
+    out = None
+    if any(c.exact is None for c in a) or any(c.exact is None for c in b):
+        out = _packed_product(p, a, b, hi, lo)
+    return out or _product_loop(p, a, b, hi, False, lo)
+
+
 def _product_loop(p: int, a: list[PadicNumber], b: list[PadicNumber], hi: int,
                   exact_only: bool, lo: int = 0) -> list[PadicNumber]:
     """Coefficients lo..hi of a*b, each folding its pairs by ascending
-    index of a (_ExactRuns); those below lo are left at the exact zero.
+    index of a (_slot); those below lo are left at the exact zero.
     A slot is summed as soon as its pairs are listed, so no more than one
     slot's pairs are held at a time.
 
@@ -383,12 +389,11 @@ def _product_loop(p: int, a: list[PadicNumber], b: list[PadicNumber], hi: int,
     # a0..a1 and b0..b1 span the kept coefficients of a and b
     a0, a1 = ka.index(True), len(a) - 1 - ka[::-1].index(True)
     b0, b1 = kb.index(True), len(b) - 1 - kb[::-1].index(True)
-    sums = _ExactRuns(p, 1)
     if a0 == a1 or b0 == b1:
         # a side c * t**e: a slot has at most one pair
         for i, j in product(range(a0, a1 + 1), range(b0, b1 + 1)):
             if ka[i] and kb[j] and lo <= i + j <= hi:
-                out[i + j] = sums.slot(out[i + j], [a[i], b[j]])
+                out[i + j] = _slot(p, 1, out[i + j], [a[i], b[j]])
         return out
     rb, rkb = b[::-1], kb[::-1]
     for k in range(max(lo, a0 + b0), min(hi, a1 + b1) + 1):
@@ -396,107 +401,79 @@ def _product_loop(p: int, a: list[PadicNumber], b: list[PadicNumber], hi: int,
         i0, i1, o = max(a0, k - b1), min(a1, k - b0) + 1, len(b) - 1 - k
         both = list(map(and_, ka[i0:i1], rkb[o + i0:o + i1]))
         if True in both:
-            out[k] = sums.slot(out[k], list(chain.from_iterable(
+            out[k] = _slot(p, 1, out[k], list(chain.from_iterable(
                 compress(zip(a[i0:i1], rb[o + i0:o + i1]), both))))
     return out
 
 
-class _ExactRuns:
-    """A slot is the left fold z + x * y (- x * y when sign is -1) over
-    its pairs [x, y, x, y, ...] of nonzero values, in list order, field
-    for field.  A slot of more than one pair is summed whole (_whole)
-    when that provably demotes nothing, and any other slot is folded
-    (_fold).
+def _slot(p: int, sign: int, z: PadicNumber, pairs: list) -> PadicNumber:
+    """The left fold z + x * y (- x * y when sign is -1) over the pairs
+    [x, y, x, y, ...] of nonzero values, in list order, field for field.
+    A slot of more than one pair is summed whole (_whole) when that
+    provably demotes nothing, and any other slot is folded (_fold).
     """
+    return (len(pairs) > 2 and _whole(p, sign, z, pairs)) or _fold(p, sign, z, pairs)
 
-    __slots__ = ("p", "sign")
 
-    def __init__(self, p: int, sign: int):
-        self.p = p
-        self.sign = sign
+def _whole(p: int, sign: int, z: PadicNumber, pairs: list) -> PadicNumber | None:
+    """The slot as one integer sum over L, or None unless every value is
+    exact and L and sum |n_i| L / d_i fit in DEMOTE_BITS: d_i is
+    den(x) den(y), n_i is +-num(x) num(y), the start is one more term, and
+    L is the largest d_i if the others divide it, else their lcm.  Every
+    partial sum and pair product of the fold then has a denominator
+    dividing L and a |numerator| within that sum, so the fold demotes
+    nothing and gives this rational total.
+    """
+    qs = [c.exact for c in pairs]
+    if z.exact is None or any(map(is_, qs, repeat(None))):
+        return None
+    xs, ys = qs[0::2], qs[1::2]
+    nums = [x.numerator * y.numerator for x, y in zip(xs, ys)]
+    dens = [x.denominator * y.denominator for x, y in zip(xs, ys)]
+    # the start is one more term, signed so that the sign below cancels
+    nums.append(sign * z.exact.numerator)
+    dens.append(z.exact.denominator)
+    L = max(dens)
+    if L.bit_length() > DEMOTE_BITS:
+        return None
+    factors, rests = zip(*map(divmod, repeat(L), dens))
+    if any(rests):
+        L = math.lcm(*dens)
+        factors = map(L.__floordiv__, dens)
+    terms = list(map(mul, nums, factors))
+    if max(L, sum(map(abs, terms))).bit_length() > DEMOTE_BITS:
+        return None
+    return PadicNumber._from_exact(Fraction(sign * sum(terms), L), p)
 
-    def slot(self, z: PadicNumber, pairs: list) -> PadicNumber:
-        return (len(pairs) > 2 and self._whole(z, pairs)) or self._fold(z, pairs)
 
-    def _whole(self, z: PadicNumber, pairs: list) -> PadicNumber | None:
-        """The slot as one integer sum over L, or None unless every value
-        is exact and L and sum |n_i| L / d_i fit in DEMOTE_BITS: d_i is
-        den(x) den(y), n_i is +-num(x) num(y), the start is one more term,
-        and L is the largest d_i if the others divide it, else their lcm.
-        Every partial sum and pair product of the fold then has a
-        denominator dividing L and a |numerator| within that sum, so the
-        fold demotes nothing and gives this rational total.
-        """
-        qs = [c.exact for c in pairs]
-        if z.exact is None or any(map(is_, qs, repeat(None))):
-            return None
-        xs, ys = qs[0::2], qs[1::2]
-        nums = [x.numerator * y.numerator for x, y in zip(xs, ys)]
-        dens = [x.denominator * y.denominator for x, y in zip(xs, ys)]
-        # the start is one more term, signed so that the sign below cancels
-        nums.append(self.sign * z.exact.numerator)
-        dens.append(z.exact.denominator)
-        L = max(dens)
-        if L.bit_length() > DEMOTE_BITS:
-            return None
-        factors, rests = zip(*map(divmod, repeat(L), dens))
-        if any(rests):
-            L = math.lcm(*dens)
-            factors = map(L.__floordiv__, dens)
-        terms = list(map(mul, nums, factors))
-        if max(L, sum(map(abs, terms))).bit_length() > DEMOTE_BITS:
-            return None
-        return PadicNumber._from_exact(Fraction(self.sign * sum(terms), L), self.p)
-
-    def _fold(self, z: PadicNumber, pairs: list) -> PadicNumber:
-        """The pairwise fold of one slot from z.  While its pairs are
-        exact, its sum is an integer numerator over the lcm of their
-        denominators, made a PadicNumber once.  A gcd is due only when a
-        pair product or partial sum passes DEMOTE_BITS unreduced, and the
-        fold demotes it if it still does reduced.  That, or a capped or
-        inexact-zero factor, ends the run, and the rest is one capped sum.
-        """
-        run = None              # z as (num, den) while the run lasts
-        it = iter(pairs)
-        for x, y in zip(it, it):
-            start = run or (z.exact is not None and (z.exact.numerator, z.exact.denominator))
-            term = start and x.exact is not None and y.exact is not None and self._term(x, y)
-            if term:
-                (num, den), (n, d) = start, term
-                g = math.gcd(den, d)
-                num, den = num * (d // g) + n * (den // g), den // g * d
-                run = _reduced(num, den)
-                if run is None:
-                    # the partial sum is demoted, and the run ends capped
-                    z = PadicNumber._from_exact(Fraction(num, den), self.p)
-                continue
-            if run:
-                z = PadicNumber._from_exact(Fraction(*run), self.p)
-            return self._capped([z, x * y, *map(mul, it, it)])
-        return z if run is None else PadicNumber._from_exact(Fraction(*run), self.p)
-
-    def _capped(self, terms: list) -> PadicNumber:
-        """terms[0] + sign * sum(terms[1:]), terms[0] or terms[1] capped or an
-        inexact zero, normalised once as PadicNumber._addsub normalises a sum
-        of two: each fold step is such a sum, so this is the fold's value.
-        """
-        p = self.p
-        A = min(c.v + c.N for c in terms if c.exact is None)
-        base = min(c.v for c in terms if c.u or c.exact is None)
-        k = A - base
-        if k <= 0:
-            return PadicNumber.inexact_zero(p, A)
-        res = [(c.u if c.exact is None else c._unit_to(k - d)) * p ** d
-               if c.u and (d := c.v - base) < k else 0 for c in terms]
-        w = (res[0] + self.sign * sum(res[1:])) % p ** k
-        if not w:
-            return PadicNumber.inexact_zero(p, A)
-        j = vp_int(w, p)
-        return PadicNumber.approximate(p, base + j, w // p ** j, k - j)
-
-    def _term(self, x: PadicNumber, y: PadicNumber) -> tuple[int, int] | None:
-        n = self.sign * x.exact.numerator * y.exact.numerator
-        return _reduced(n, x.exact.denominator * y.exact.denominator)
+def _fold(p: int, sign: int, z: PadicNumber, pairs: list) -> PadicNumber:
+    """The pairwise fold of one slot from z.  While its pairs are exact,
+    its sum is an integer numerator over the lcm of their denominators,
+    made a PadicNumber once.  A gcd is due only when a pair product or
+    partial sum passes DEMOTE_BITS unreduced, and the fold demotes it if
+    it still does reduced.  That, or a capped or inexact-zero factor, ends
+    the run, and the rest is one capped sum (padic.capped_sum).
+    """
+    run = None              # z as (num, den) while the run lasts
+    it = iter(pairs)
+    for x, y in zip(it, it):
+        start = run or (z.exact is not None and (z.exact.numerator, z.exact.denominator))
+        term = (start and x.exact is not None and y.exact is not None
+                and _reduced(sign * x.exact.numerator * y.exact.numerator,
+                             x.exact.denominator * y.exact.denominator))
+        if term:
+            (num, den), (n, d) = start, term
+            g = math.gcd(den, d)
+            num, den = num * (d // g) + n * (den // g), den // g * d
+            run = _reduced(num, den)
+            if run is None:
+                # the partial sum is demoted, and the run ends capped
+                z = PadicNumber._from_exact(Fraction(num, den), p)
+            continue
+        if run:
+            z = PadicNumber._from_exact(Fraction(*run), p)
+        return capped_sum(p, [z, x * y, *map(mul, it, it)], sign)
+    return z if run is None else PadicNumber._from_exact(Fraction(*run), p)
 
 
 def _reduced(num: int, den: int) -> tuple[int, int] | None:
@@ -519,12 +496,12 @@ def _packed_product(p: int, a: list[PadicNumber], b: list[PadicNumber],
     min(abs_x + v_y, v_x + abs_y), and its value is the true sum of the
     pair products mod p**A_k whatever the order of the additions.  So the
     values come from one product of the operands' integer digits packed
-    at a fixed slot width.  The other coefficients sum their exact pairs
-    in _product_loop's exact sums.  None when one of those sums is
-    demoted past DEMOTE_BITS, since the demoted value's DEFAULT_PRECISION
-    digits then cap A_k and which partial sums are demoted depends on the
-    order of the additions; None too when a slot would span far more
-    digits than any coefficient knows.
+    at a fixed slot width, each slot normalised by PadicNumber.approximate.
+    The other coefficients sum their exact pairs in _product_loop's exact
+    sums.  None when one of those sums is demoted past DEMOTE_BITS, since
+    the demoted value's DEFAULT_PRECISION digits then cap A_k and which
+    partial sums are demoted depends on the order of the additions; None
+    too when a slot would span far more digits than any coefficient knows.
     """
     prec = _precision(a, b, hi, lo)
     live = [k for k, e in enumerate(prec) if e != math.inf]
@@ -555,14 +532,9 @@ def _packed_product(p: int, a: list[PadicNumber], b: list[PadicNumber],
     data = packed.to_bytes(width * (len(ra) + len(rb) - 1), "little")
     for k in live:
         e = prec[k] - base
-        w = 0
-        if e > 0:
-            w = int.from_bytes(data[k * width:(k + 1) * width], "little") % pw[e]
-        if not w:
-            out[k] = PadicNumber.inexact_zero(p, prec[k])
-            continue
-        j = vp_int(w, p)
-        out[k] = PadicNumber(p, base + j, w // pw[j], e - j)
+        slot = int.from_bytes(data[k * width:(k + 1) * width], "little")
+        out[k] = (PadicNumber.approximate(p, base, slot, e) if e > 0
+                  else PadicNumber.inexact_zero(p, prec[k]))
     return out
 
 
@@ -633,16 +605,15 @@ def _online(p: int, ops, rhs, finish, out: list, count: int) -> list:
 
     Output s is finish(s, r), where r_i = rhs(s, i) minus c * x_(s-d)[l]
     for each triple (d >= 1, l, c) of ops[i] with d <= s, folded in the
-    order ops[i] lists them (_ExactRuns).  The outputs run in blocks of
+    order ops[i] lists them (_slot).  The outputs run in blocks of
     BLOCK when some coefficient of ops is capped or an inexact zero and
     none is exact and nonzero, else in one block.  An exact value caches
     DEFAULT_PRECISION digits whatever produced it, but a partial exact
     sum past DEMOTE_BITS is demoted, and which partial sums exist depends
     on the order of the subtractions: one block keeps the caller's (an
-    output _ExactRuns sums whole is the same in any order).  A
-    block's history, the pairs whose earlier output lies before it, is
-    one packed product per operator entry (i, l), or the pairwise loop
-    when that declines.
+    output _whole sums is the same in any order).  A block's history,
+    the pairs whose earlier output lies before it, is one _product per
+    operator entry (i, l).
     """
     ops = [[t for t in triples if not t[2].is_exact_zero] for triples in ops]
     coeffs = [c for triples in ops for _, _, c in triples]
@@ -650,7 +621,6 @@ def _online(p: int, ops, rhs, finish, out: list, count: int) -> list:
     # only a delay below step can pair two outputs of one block
     near = [[t for t in triples if t[0] < step] for triples in ops]
     zero = PadicNumber.exact_zero(p)
-    runs = _ExactRuns(p, -1)
     for b0 in range(0, count, step):
         b1 = min(b0 + step, count)
         history = [[zero] * (b1 - b0) for _ in ops]
@@ -663,8 +633,7 @@ def _online(p: int, ops, rhs, finish, out: list, count: int) -> list:
                     if d < b1:
                         entries.setdefault(l, [zero] * (b1 - 1))[d - 1] = c
                 for l, op in entries.items():
-                    sums = (_packed_product(p, known[l], op, b1 - 2, b0 - 1)
-                            or _product_loop(p, known[l], op, b1 - 2, False, b0 - 1))
+                    sums = _product(p, known[l], op, b1 - 2, b0 - 1)
                     history[i] = [x + y for x, y in zip(history[i], sums[b0 - 1:])]
         for s in range(max(b0, len(out)), b1):
             r = [rhs(s, i) - history[i][s - b0] for i in range(len(ops))]
@@ -672,6 +641,6 @@ def _online(p: int, ops, rhs, finish, out: list, count: int) -> list:
                 pairs = [v for d, l, c in triples if s - d >= b0
                          and not (x := out[s - d][l]).is_exact_zero for v in (c, x)]
                 if pairs:
-                    r[i] = runs.slot(r[i], pairs)
+                    r[i] = _slot(p, -1, r[i], pairs)
             out.append(finish(s, r))
     return out

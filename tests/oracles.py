@@ -2,7 +2,8 @@
 
 None of these is on a CLI path: they are closed forms (Legendre's
 formula, the hypergeometric coefficient valuations), a comparison
-relation that reads only the digits both sides claim, and small
+relation that reads only the digits both sides claim, the pairwise
+definitions the kernels' shortcuts must reproduce, and small
 constructors and predicates the tests build their inputs with.
 """
 
@@ -64,6 +65,27 @@ def hypergeom_series_capped(p: int, order: int) -> list[PadicNumber]:
     return out
 
 
+def abs_prec(x: PadicNumber):
+    """Absolute precision exponent; math.inf for exactly known values."""
+    return math.inf if x.exact is not None else x.v + x.N
+
+
+def val_lower_bound(x: PadicNumber):
+    """A sound lower bound on the valuation (math.inf for the exact zero)."""
+    return math.inf if x.is_exact_zero else x.v
+
+
+def residue(x: PadicNumber, base_v: int, k: int) -> int:
+    """The integer (x * p**-base_v) mod p**k; requires v >= base_v."""
+    if k <= 0 or x.u == 0:
+        return 0
+    if x.v < base_v:
+        raise ValueError("residue requested below the valuation")
+    pk = x.p ** k
+    u = x.u if x.exact is None else x._unit_to(k)
+    return u * pow(x.p, x.v - base_v, pk) % pk
+
+
 def agrees(x, y) -> bool:
     """Do x and y agree on every digit both of them claim?
 
@@ -84,18 +106,16 @@ def agrees(x, y) -> bool:
         return True
     if x.p != y.p:
         return False
-    common = min(x.abs_prec, y.abs_prec)
+    common = min(abs_prec(x), abs_prec(y))
     if common == math.inf:
         return x.exact == y.exact
-    common = int(common)
-    base = min(x.val_lower_bound(), y.val_lower_bound(), common)
+    base = min(val_lower_bound(x), val_lower_bound(y), common)
     if base == math.inf:
         return True
-    base = int(base)
     k = common - base
     if k <= 0:
         return True
-    return x.residue(base, k) == y.residue(base, k)
+    return residue(x, base, k) == residue(y, base, k)
 
 
 def monomial(p: int, k: int) -> TruncatedSeries:
@@ -121,15 +141,42 @@ def precision_oracle(a: list[PadicNumber], b: list[PadicNumber], hi: int,
         best = math.inf
         for i in range(max(0, k - len(b) + 1), min(k, len(a) - 1) + 1):
             x, y = a[i], b[k - i]
-            best = min(best, x.abs_prec + y.val_lower_bound(),
-                       x.val_lower_bound() + y.abs_prec)
+            best = min(best, abs_prec(x) + val_lower_bound(y),
+                       val_lower_bound(x) + abs_prec(y))
         out.append(best)
     return out
 
 
+def add_oracle(x: PadicNumber, y: PadicNumber, sign: int) -> PadicNumber:
+    """x + y (x - y when sign is -1) by the two-term rule: exact zeros
+    drop out, two exact values add as rationals, and otherwise the sum
+    is known to the least absolute precision a of the two, read from the
+    residues of both at their least valuation."""
+    p = x.p
+    if x.is_exact_zero:
+        return y if sign > 0 else -y
+    if y.is_exact_zero:
+        return x
+    if x.exact is not None and y.exact is not None:
+        q = x.exact + y.exact if sign > 0 else x.exact - y.exact
+        return PadicNumber.from_rational(q.numerator, q.denominator, p)
+    a = min(abs_prec(x), abs_prec(y))
+    base = min(x.v, y.v)
+    k = a - base
+    if k <= 0:
+        return PadicNumber.inexact_zero(p, a)
+    w = (residue(x, base, k) + sign * residue(y, base, k)) % p ** k
+    if w == 0:
+        return PadicNumber.inexact_zero(p, a)
+    j = 0
+    while w % p ** (j + 1) == 0:
+        j += 1
+    return PadicNumber(p, base + j, w // p ** j, k - j)
+
+
 def fold_oracle(z: PadicNumber, pairs: list[PadicNumber], sign: int) -> PadicNumber:
     """z + x * y (z - x * y when sign is -1) over the pairs [x, y, x, y, ...]
-    in order, one PadicNumber operation at a time."""
+    in order, one add_oracle at a time."""
     for x, y in zip(pairs[0::2], pairs[1::2]):
-        z = z + x * y if sign > 0 else z - x * y
+        z = add_oracle(z, x * y, sign)
     return z

@@ -311,6 +311,25 @@ def test_cli_radii_bad_rho_exits_3_before_any_read(capsys):
     assert "r=" not in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify-conjecture", "ex44_p5", "--iterates", "400", "--out"],
+    ["fprofile", "ex44_p5", "--iterates", "20", "--csv"],
+    ["fprofile", "ex44_p5", "--iterates", "20", "--svg"],
+])
+@pytest.mark.parametrize("where", ["missing/x.out", "."])
+def test_cli_bad_output_path_exits_3_before_the_run(argv, where, tmp_path, monkeypatch, capsys):
+    # a file in a missing directory, or a path that is a directory
+    def load(_ref):
+        raise AssertionError("a bad output path must stop the run before the load")
+    monkeypatch.setattr(cli, "_load", load)
+    path = tmp_path / where
+    assert run(*argv, str(path)) == 3
+    out, err = capsys.readouterr()
+    assert out == ""            # no verdict line, no profile row
+    assert [line for line in err.splitlines() if line.startswith("error:")] == [
+        "error: not a file in an existing directory: %s" % path]
+
+
 def test_cli_radii_rejects_over_long_rho_grid_token(capsys):
     # past int()'s digit limit: a usage error, not a ValueError traceback
     assert run("radii", "ex44_p5", "--iterates", "2", "--rho-grid", "1" * 5000) == 3

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import agrees, digit_sum, factorial_valuation, norm_exponent
+from oracles import abs_prec, agrees, digit_sum, factorial_valuation, norm_exponent, residue
 from padiff.padic import (
     DEFAULT_PRECISION,
     PadicNumber,
@@ -47,7 +47,7 @@ def test_from_rational_unit_digits():
     # -1/4 in Z_5: the unit mod 5**4 solves 4*u == -1, i.e. u == 156
     x = PadicNumber.from_rational(-1, 4, 5)
     assert x.v == 0
-    assert x.residue(0, 4) == pow(-4, -1, 5 ** 4) == 156
+    assert residue(x, 0, 4) == pow(-4, -1, 5 ** 4) == 156
     assert x.u == pow(-4, -1, 5 ** DEFAULT_PRECISION)
     assert x.exact == Fraction(-1, 4)
 
@@ -81,7 +81,15 @@ def test_capped_cancellation_gives_inexact_zero():
     b = PadicNumber.approximate(5, 0, -1, 4)      # -1 + O(5**4)
     z = a + b
     assert z.u == 0 and not z.is_exact_zero
-    assert z.abs_prec == 4
+    assert abs_prec(z) == 4
+
+
+def test_approximate_normalises_the_unit():
+    # 10 + O(5**3) is 2 * 5 + O(5**3); 0, 125 and N <= 0 know no digit
+    assert PadicNumber.approximate(5, 1, 10, 3) == PadicNumber(5, 2, 2, 2)
+    assert PadicNumber.approximate(5, 1, -3, 2) == PadicNumber(5, 1, 22, 2)
+    for u, N in ((0, 3), (125, 3), (7, 0), (7, -2)):
+        assert PadicNumber.approximate(5, 1, u, N) == PadicNumber.inexact_zero(5, 1 + max(N, 0))
 
 
 def test_add_partial_cancellation_precision():

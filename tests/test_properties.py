@@ -27,7 +27,7 @@ from operator import add
 from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
-from oracles import agrees, fold_oracle, norm_exponent, precision_oracle
+from oracles import add_oracle, agrees, fold_oracle, norm_exponent, precision_oracle
 from test_linalg import check_reconstruction
 from padiff import corpus
 from padiff import series as series_module
@@ -35,7 +35,7 @@ from padiff.config import WorkbenchConfig
 from padiff.diffmod import DifferentialModule
 from padiff.linalg import (SeriesMatrix, field_solve, invert_regular, kernel_basis,
                            smith_normal_form, solve_regular)
-from padiff.padic import DEMOTE_BITS, PadicNumber
+from padiff.padic import DEMOTE_BITS, PadicNumber, capped_sum
 from padiff.radii import RadiusWorkbench, omega_exponent
 from padiff.series import GaussNorm, TruncatedSeries
 
@@ -726,14 +726,14 @@ def test_one_block_solve_regular_matches_reference(case):
 
 def record_history_products(monkeypatch) -> list:
     """Install a recorder of the packed products the recursion driver
-    series._online makes for block histories; each records whether it
-    returned None."""
+    series._online makes for block histories, through series._product;
+    each records whether it returned None."""
     packed = series_module._packed_product
     calls = []
 
     def recording(*args):
         out = packed(*args)
-        if sys._getframe(1).f_code.co_name == "_online":
+        if sys._getframe(2).f_code.co_name == "_online":
             calls.append(out is None)
         return out
 
@@ -917,16 +917,16 @@ def test_product_and_divide_with_one_pair_per_coefficient():
 
 def record_folds(monkeypatch) -> list:
     """Install a recorder of the slots of more than one pair that
-    _ExactRuns folds pair by pair; each records its number of pairs."""
-    fold = series_module._ExactRuns._fold
+    series._slot folds pair by pair; each records its number of pairs."""
+    fold = series_module._fold
     calls = []
 
-    def recording(self, z, pairs):
+    def recording(p, sign, z, pairs):
         if len(pairs) > 2:
             calls.append(len(pairs) // 2)
-        return fold(self, z, pairs)
+        return fold(p, sign, z, pairs)
 
-    monkeypatch.setattr(series_module._ExactRuns, "_fold", recording)
+    monkeypatch.setattr(series_module, "_fold", recording)
     return calls
 
 
@@ -1057,4 +1057,34 @@ def slot_cases(draw):
 @SUITE
 def test_slot_sum_matches_pairwise_fold(case):
     p, z, pairs, sign = case
-    assert series_module._ExactRuns(p, sign).slot(z, pairs) == fold_oracle(z, pairs, sign)
+    assert series_module._slot(p, sign, z, pairs) == fold_oracle(z, pairs, sign)
+
+
+@st.composite
+def two_term_cases(draw):
+    """Two terms, one of them capped or an inexact zero, and a sign.  In
+    a third of the cases a capped first term meets itself (the sum
+    cancels to an inexact zero), and in another third itself with one
+    digit changed and more known (the sum loses leading digits)."""
+    p, sign = draw(PRIMES), draw(st.sampled_from((1, -1)))
+    x, y = (make_coeff(p, c) for c in draw(codes(2)))
+    how = draw(st.integers(0, 2))
+    if how and x.exact is None and x.u:
+        d = draw(st.integers(0, x.N + 1))
+        y = PadicNumber.approximate(p, x.v, x.u + (how - 1) * p ** d, x.N + how - 1)
+        y = y if sign < 0 else -y
+    assume(x.exact is None or y.exact is None)
+    return p, x, y, sign
+
+
+@given(two_term_cases())
+@example((5, PadicNumber.exact_zero(5), PadicNumber.inexact_zero(5, 2), -1))
+@example((5, PadicNumber.approximate(5, 0, 7, 3), PadicNumber.approximate(5, 0, 7, 3), -1))
+@example((5, PadicNumber.approximate(5, 3, 1, 1), PadicNumber.inexact_zero(5, -2), 1))
+@example((5, PadicNumber.approximate(5, 0, 1, 60), PadicNumber.from_rational(1, 3, 5), 1))
+@SUITE
+def test_capped_sum_of_two_matches_the_two_term_rule(case):
+    p, x, y, sign = case
+    want = add_oracle(x, y, sign)
+    assert capped_sum(p, [x, y], sign) == want
+    assert (x + y if sign > 0 else x - y) == want

@@ -93,6 +93,9 @@ def test_iterates_keep_probe_steps_and_tail_records():
     assert sorted(it.records) == list(it.tail_range())
     assert it.mats == list(it.steps.values())
     assert all(isinstance(m, SeriesMatrix) for m in it.mats)
+    # the series route (a capped A) keeps its tail iterates and no others
+    it = PowerIterates(build("hypergeom_half_p5").module, 30)
+    assert sorted(it.steps) == list(it.tail_range())
 
 
 def test_iterate_count_beyond_window_rejected():
@@ -249,15 +252,17 @@ def _count_matmuls(monkeypatch):
 
 def test_scaled_iterates_hand_over_before_a_demotion(monkeypatch):
     # N_3 = -2**4200 passes DEMOTE_BITS: the series recursion takes over
-    # from M_2 and demotes M_3's product itself
+    # from M_2 and demotes M_3's product itself; M_2 lies below the tail
+    # 3..6, so it is dropped once M_3 is built
     c = 2 ** 1400
     module = DifferentialModule(SeriesMatrix.from_rational_rows(5, [[[c]]]), "huge")
     calls = _count_matmuls(monkeypatch)
     it = assert_matches_reference(module, 6)
-    assert [s for s, _ in radii._scaled_iterates(module.matrix, 1, 6)] == [0, 1, 2]
-    assert sorted(it.steps) == [2, 3, 4, 5, 6]
+    scaled = dict(radii._scaled_iterates(module.matrix, 1, 6))
+    assert sorted(scaled) == [0, 1, 2]
+    assert radii._exact_matrix(5, scaled[2], 1).entries[0][0].coeffs[0].exact == c ** 2
+    assert sorted(it.steps) == [3, 4, 5, 6]
     assert len(calls) == 6 - 2 + 6      # the handover's steps, then the reference's
-    assert it.steps[2].entries[0][0].coeffs[0].exact == c ** 2
     big = it.steps[3].entries[0][0].coeffs[0]
     assert big.exact is None and (c ** 3).bit_length() > DEMOTE_BITS
 

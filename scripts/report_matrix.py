@@ -19,7 +19,8 @@ PYTHONPATH picks the tree whose reports are written.  The runs:
   three primes;
 - verify-conjecture on ex44_p5 at --iterates 400 and 800, where the
   scaled integer Taylor iterates reach 1,462 and 3,313 bits: well past
-  the default's, still inside DEMOTE_BITS;
+  the default's, still inside DEMOTE_BITS; and at --iterates 1000, whose
+  tail iterates pass DEMOTE_BITS and are read as residues mod p**K;
 - verify-conjecture on exp_small_p5 at --order 600, where the
   horizontal section's coefficients from t**573 on pass DEMOTE_BITS and
   are demoted: the top 28 sums of the full-branch inverse, and of
@@ -65,7 +66,7 @@ def runs():
     for prime in ("3", "5", "7"):
         module = "hypergeom_half_p" + prime
         yield "verify-conjecture." + module, ["verify-conjecture", module, "--iterates", "64"]
-    for count in ("400", "800"):
+    for count in ("400", "800", "1000"):
         yield ("verify-conjecture.iterates%s.ex44_p5" % count,
                ["verify-conjecture", "ex44_p5", "--iterates", count])
     yield ("verify-conjecture.order600.exp_small_p5",

@@ -18,11 +18,7 @@ from padiff.series import TruncatedSeries, _online
 
 
 class NoSolutionError(Exception):
-    """A linear system is provably inconsistent; carries the obstruction."""
-
-    def __init__(self, message: str, certificate=None):
-        super().__init__(message)
-        self.certificate = certificate
+    """A linear system is provably inconsistent."""
 
 
 # ----------------------------------------------------------------------
@@ -115,7 +111,7 @@ def field_solve(matrix: list[list[PadicNumber]], rhs: list[PadicNumber],
             continue
         if tail.u == 0:
             raise PrecisionError("consistency of row %d is undetermined" % i)
-        raise NoSolutionError("inconsistent row %d" % i, certificate=("row", i))
+        raise NoSolutionError("inconsistent row %d" % i)
     zero = PadicNumber.exact_zero(p)
     x = [zero] * ncols
     for r, c in pivots:

@@ -12,23 +12,22 @@ basis columns with larger radii, and every proposal is re-verified
 against the raw iterates before it is accepted.  Sorted column radii
 are per-position lower bounds for the true multiset.
 
-When every entry of A is a polynomial with exact coefficients, the
-iterates are scaled integer polynomials N_s = D**s M_s, D the lcm of A's
-denominators: N_{s+1} = D N_s' - N_s (D A) on lists of ints, each entry
-as long as the series recursion makes it, in one pass that keeps no
-integer iterate past its read.  A tail read needs only valuations,
-v(M_s[i]) = v_p(N_s[i]) - s v_p(D), taken as the recursion runs, once
-for every radius and only where one can raise the norm, and compared
-through Gauss norm's own integer key.  Only the probe steps (which hold
-the kernel stack) and the handover step are made SeriesMatrix, with the
-exact values the series recursion gives.  The integer recursion hands
-its last iterate to the series recursion at the first step where the bound
-bits(max |N_s|) + max(bits(max |D A|), bits(D * length)) + bits(term
-count), with D**(s+2), cannot show that every value that step forms
-stays within DEMOTE_BITS: past it the series recursion demotes what it
-demotes.  A matrix with a coefficient window or a capped coefficient
-keeps the series recursion throughout.  Every iterate the series
-recursion builds is kept, since its tail is read by Gauss norms.
+Each kind of matrix has one iterate route.  When every entry of A is a
+polynomial with exact coefficients, the iterates are scaled integer
+polynomials N_s = D**s M_s, D the lcm of A's denominators: N_{s+1} =
+D N_s' - N_s (D A) on lists of ints, each entry as long as the series
+recursion makes it, to the last iterate, in one pass that keeps no
+integer iterate past its read.  Past DEMOTE_BITS the N_s are residues
+mod p**K, p**K >= 2**DEMOTE_BITS: the recursion is linear over Z, so M_s
+is known to absolute precision K - s v_p(D).  A tail read needs only
+valuations, v(M_s[i]) = v_p(N_s[i]) - s v_p(D), taken as the recursion
+runs, once for every radius and only where one can raise the norm, and
+compared through Gauss norm's own integer key; a zero residue is an
+inexact zero, and a read that it can beat is indeterminate.  Only the
+probe steps, which hold the kernel stack, are made SeriesMatrix.  A
+matrix with a coefficient window or a capped coefficient runs the series
+recursion M_{s+1} = M_s' - M_s A instead, and keeps its tail iterates,
+since they are read by Gauss norms.
 
 One rule reads the multiset at a circle:
 
@@ -123,11 +122,11 @@ class IterateWindowError(ValueError):
 class PowerIterates:
     """Taylor iterates of the horizontal frame of one module.
 
-    steps maps s to M_s for the tail iterates a read takes as a
-    SeriesMatrix: the probe steps on the integer route, then every tail
-    iterate the series recursion builds.  records holds the valuation
-    records of the scaled tail iterates, taken as the integer recursion
-    runs; no other iterate is kept past its use.
+    steps maps s to M_s for the iterates a read takes as a SeriesMatrix:
+    the probe steps on the integer route (an all-exact polynomial A),
+    every tail iterate on the series route (any other A).  records holds
+    the valuation records of the scaled tail iterates, taken as the
+    integer recursion runs; no other iterate is kept past its use.
     """
 
     def __init__(self, module: DifferentialModule, count: int):
@@ -146,29 +145,24 @@ class PowerIterates:
         self.steps: dict[int, SeriesMatrix] = {}
         self.records: dict[int, list] = {}
         tail = self.tail_range()
-        D = None if window is not None else _exact_scale(A)
-        last = 0
+        D = _exact_scale(A)
         if D is None:
             cur = SeriesMatrix.identity(p, module.rank)
+            for s in range(count):
+                cur = cur.derive() - (cur @ A)
+                if window is not None:
+                    cap = window + (count - s)
+                    cur = cur.map(lambda c: c.truncate(cap) if c.order > cap else c)
+                if s + 1 in tail:
+                    self.steps[s + 1] = cur
         else:
             vD = vp_int(D, p)
             probes = self.probe_steps()
-            for last, N in _scaled_iterates(A, D, count):
-                if last in tail:
-                    self.records[last] = _column_records(N, last * vD, p)
-                if last in probes:
-                    self.steps[last] = _exact_matrix(p, N, D ** last)
-            # the handover step; in the tail, reads take its record
-            cur = self.steps[last] if last in probes else _exact_matrix(p, N, D ** last)
-        # the series recursion, from the handover step if there is one;
-        # only the tail is kept, since no read takes an earlier iterate
-        for s in range(last, count):
-            cur = cur.derive() - (cur @ A)
-            if window is not None:
-                cap = window + (count - s)
-                cur = cur.map(lambda c: c.truncate(cap) if c.order > cap else c)
-            if s + 1 in tail:
-                self.steps[s + 1] = cur
+            for s, N, K in _scaled_iterates(A, D, count, p):
+                if s in tail:
+                    self.records[s] = _column_records(N, s * vD, p, K)
+                if s in probes:
+                    self.steps[s] = _scaled_matrix(p, N, D, s, K)
         # perfbench/spans.py counts the iterates and their coefficients here
         self.mats = list(self.steps.values())
         self._column_betas: dict = {}
@@ -239,24 +233,22 @@ class PowerIterates:
 
 
 def _exact_scale(A: SeriesMatrix) -> int | None:
-    """The lcm of A's denominators when every coefficient is exact."""
+    """The lcm of A's denominators when A is an exact polynomial: no
+    coefficient window, every coefficient exact."""
     coeffs = [c.exact for row in A.entries for cell in row for c in cell.coeffs]
-    if any(q is None for q in coeffs):
+    if A.max_known_order() is not None or any(q is None for q in coeffs):
         return None
     return math.lcm(*(q.denominator for q in coeffs))
 
 
-def _scaled_iterates(A: SeriesMatrix, D: int, count: int):
-    """(s, N_s) for s = 0, ..., S, for an all-exact polynomial A whose
-    denominators divide D.
+def _scaled_iterates(A: SeriesMatrix, D: int, count: int, p: int):
+    """(s, N_s, K) for s = 1, ..., count, for an all-exact polynomial A
+    whose denominators divide D.
 
     N_(s+1) = D * N_s' - N_s * (D * A) on integer coefficient lists, each
-    entry as long as the series recursion makes it.  The recursion stops
-    at the first S < count where a bound cannot show that no value the
-    series recursion would form from M_S (a term D * i * N_S[i], a pair
-    product N_S[a] * (D * A)[b], a partial sum of those, all over at most
-    D**(S + 1)) passes DEMOTE_BITS; M_S then goes on by that recursion,
-    which demotes what it demotes.
+    entry as long as the series recursion makes it.  K is None while every
+    |N_s| and D**s fit in DEMOTE_BITS; from the first step where one does
+    not, N_s is reduced mod p**K, K the least with p**K >= 2**DEMOTE_BITS.
     """
     m = A.shape[0]
     exact = [[[c.exact for c in cell.coeffs] for cell in row] for row in A.entries]
@@ -264,22 +256,19 @@ def _scaled_iterates(A: SeriesMatrix, D: int, count: int):
     terms = [[[(e, q.numerator * (D // q.denominator)) for e, q in enumerate(cell) if q]
               for cell in row] for row in exact]
     lens = [[len(cell) for cell in row] for row in exact]
-    da_bits = max((abs(b).bit_length() for row in terms for cell in row for _, b in cell),
-                  default=0)
-    # pairs reaching one coefficient, plus its derivative term
-    term_bits = (1 + m * max(len(cell) for row in terms for cell in row)).bit_length()
     cur = [[[1] if i == j else [0] for j in range(m)] for i in range(m)]
-    yield 0, cur
-    scale = D * D
-    for s in range(count):
-        width = max(len(cell) for row in cur for cell in row)
-        bits = max(max(map(int.bit_length, cell)) for row in cur for cell in row)
-        if (bits + max(da_bits, (D * width).bit_length()) + term_bits > DEMOTE_BITS
-                or scale.bit_length() > DEMOTE_BITS):
-            return
+    scale, K = 1, None
+    for s in range(1, count + 1):
         cur = [[_scaled_step(row, j, terms, lens, D) for j in range(m)] for row in cur]
-        yield s + 1, cur
-        scale *= D
+        if K is None:
+            scale *= D
+            if scale.bit_length() > DEMOTE_BITS or max(
+                    max(map(int.bit_length, cell)) for row in cur for cell in row) > DEMOTE_BITS:
+                K = math.ceil(DEMOTE_BITS / math.log2(p))
+                pK = p ** K
+        if K is not None:
+            cur = [[[n % pK for n in cell] for cell in row] for row in cur]
+        yield s, cur, K
 
 
 def _scaled_step(row: list, j: int, terms, lens, D: int) -> list:
@@ -306,11 +295,14 @@ def _scaled_step(row: list, j: int, terms, lens, D: int) -> list:
     return out
 
 
-def _column_records(N: list, shift: int, p: int) -> list:
-    """Per column j of a scaled iterate N_s, the (i, -v) of its
-    coefficients (index i, valuation v of M_s's, N_s's less shift) that a
-    Gauss norm can attain at some r >= 0: each -v beats every one at a
-    smaller index.
+def _column_records(N: list, shift: int, p: int, K: int | None) -> list:
+    """Per column j of a scaled iterate N_s, (record, zero).  The record
+    holds the (i, -v) of its coefficients (index i, valuation v of M_s's,
+    N_s's less shift) that a Gauss norm can attain at some r >= 0: each
+    -v beats every one at a smaller index.  zero is shift - K, the -v
+    bound of an inexact zero, when a residue mod p**K at index 0 is zero,
+    else None: every entry has index 0, and a zero residue at a later
+    index is beaten by a nonzero one at index 0.
 
     A coefficient that p**v divides, v the least valuation at smaller
     indices, cannot beat them, and only the others have their valuation
@@ -329,15 +321,23 @@ def _column_records(N: list, shift: int, p: int) -> list:
                         record.pop()
                     record.append((i, shift - v))
                     p_least = p ** v
-        cols.append(record)
+        zero = None if K is None or all(cell[0] for cell in cells) else shift - K
+        cols.append((record, zero))
     return cols
 
 
-def _exact_matrix(p: int, N: list, scale: int) -> SeriesMatrix:
-    """M_s = N_s / scale, with the exact values the series recursion gives."""
-    return SeriesMatrix(p, [[TruncatedSeries(
-        p, [PadicNumber._from_exact(Fraction(n, scale), p) for n in cell], True)
-        for cell in row] for row in N])
+def _scaled_matrix(p: int, N: list, D: int, s: int, K: int | None) -> SeriesMatrix:
+    """M_s = N_s / D**s: exact while N_s is, as the series recursion gives
+    it, else from residues mod p**K to absolute precision K - s v_p(D)."""
+    if K is None:
+        scale = D ** s
+        value = lambda n: PadicNumber._from_exact(Fraction(n, scale), p)
+    else:
+        v = vp_int(D, p)
+        inverse = pow(D // p ** v, -s, p ** K)
+        value = lambda n: PadicNumber.approximate(p, -s * v, n * inverse, K)
+    return SeriesMatrix(p, [[TruncatedSeries(p, [value(n) for n in cell], True)
+                             for cell in row] for row in N])
 
 
 def _polynomial_lift(vec: list[TruncatedSeries]):
@@ -399,13 +399,16 @@ def _series_norm(s: int, vec: list[TruncatedSeries], r: Fraction):
     return s, best, best is None and all(c.is_zero_series() for c in vec), flags
 
 
-def _record_norm(s: int, record: list[tuple[int, int]], r: Fraction):
-    """The norm read of a scaled iterate's column from its valuation
-    record, by TruncatedSeries.gauss_norm's integer key -v * b - a * i at
-    r = a/b; its coefficients are exact, so no flag can arise."""
-    a, b = r.numerator, r.denominator
+def _record_norm(s: int, read: tuple, r: Fraction):
+    """The norm read of a scaled iterate's column from its (record, zero),
+    by TruncatedSeries.gauss_norm's integer key -v * b - a * i at r = a/b:
+    indeterminate where the zero residue's key could beat the record's."""
+    (record, zero), a, b = read, r.numerator, r.denominator
     key = max((w * b - a * i for i, w in record), default=None)
-    return s, None if key is None else Fraction(key, b), key is None, ()
+    g = None if key is None else Fraction(key, b)
+    if zero is not None and (key is None or zero * b > key):
+        return s, g, False, ("indeterminate",)
+    return s, g, key is None and zero is None, ()
 
 
 def _capped_radius(p: int, r: Fraction, log_beta: Fraction | None) -> Fraction:

@@ -14,7 +14,8 @@ each one up whether or not a CLI path calls it.  Nothing else is:
 a helper that only tests need (an oracle, an accessor, a comparison
 relation) lives in tests/oracles.py.
 
-The field scan: every dataclass field in src/padiff must be read as an
+The field scan: every dataclass field in src/padiff, and every attribute
+a src/padiff class's __init__ stores on self, must be read as an
 attribute somewhere in src/padiff or in the benchmark's span recorder
 (perfbench/spans.py), which reads report fields the CLI does not.  Like
 the name scan it matches bare attribute names, so it cannot see a dead
@@ -108,17 +109,28 @@ def _is_dataclass(decorator) -> bool:
     return getattr(target, "id", getattr(target, "attr", None)) == "dataclass"
 
 
+def _stored(node) -> list[str]:
+    """The fields of a src/padiff class: its dataclass fields, or the
+    attributes its __init__ stores on self."""
+    if any(map(_is_dataclass, node.decorator_list)):
+        return [stmt.target.id for stmt in node.body
+                if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)]
+    return [n.attr for init in node.body
+            if isinstance(init, ast.FunctionDef) and init.name == "__init__"
+            for n in ast.walk(init)
+            if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Store)
+            and isinstance(n.value, ast.Name) and n.value.id == "self"]
+
+
 def _unread_fields() -> list[str]:
-    """Dataclass fields of src/padiff that no attribute load reads."""
+    """Fields of src/padiff classes that no attribute load reads."""
     trees = list(TREES.values()) + [SPANS_TREE]
     reads = {n.attr for tree in trees for n in ast.walk(tree)
              if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)}
-    return ["%s.%s" % (node.name, stmt.target.id)
+    return ["%s.%s" % (node.name, name)
             for tree in TREES.values() for node in tree.body
-            if isinstance(node, ast.ClassDef) and any(map(_is_dataclass, node.decorator_list))
-            for stmt in node.body
-            if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
-            and stmt.target.id not in reads]
+            if isinstance(node, ast.ClassDef)
+            for name in _stored(node) if name not in reads]
 
 
 # exp_small_p5 with its entry capped and known on a 100-coefficient window:
@@ -200,5 +212,5 @@ def test_every_definition_is_reached():
 
 def test_every_dataclass_field_is_read():
     dead = _unread_fields()
-    assert not dead, ("dataclass fields that nothing in src/padiff or perfbench/spans.py "
-                      "reads; delete them: %s" % ", ".join(dead))
+    assert not dead, ("dataclass fields or __init__ attributes that nothing in src/padiff "
+                      "or perfbench/spans.py reads; delete them: %s" % ", ".join(dead))

@@ -2,11 +2,14 @@
 
 Expected values were computed by hand: the Taylor iterates of the rank
 two modules and the capped radii of the rank one modules have closed
-forms.  The scaled integer iterates and their reads are checked against
-the series recursion, kept here as the reference loop.
+forms.  An all-exact polynomial matrix has one iterate route, the scaled
+integer recursion: inside DEMOTE_BITS its iterates and reads are checked
+against the series recursion, kept here as the reference loop, and past
+it (residues mod p**K) against plain matrix powers of a constant matrix.
 """
 
 import json
+import math
 from fractions import Fraction
 from itertools import combinations_with_replacement
 
@@ -47,13 +50,13 @@ def ex44_wb():
 
 
 def all_iterates(it):
-    """M_0, ..., M_count of a PowerIterates: the scaled ones from the
-    integer recursion, made SeriesMatrix, then the series recursion's."""
-    A = it.module.matrix
-    D = radii._exact_scale(A) if it.window is None else None
-    mats = [] if D is None else [radii._exact_matrix(it.module.p, N, D ** s)
-                                 for s, N in radii._scaled_iterates(A, D, it.count)]
-    return mats + [it.steps[s] for s in range(len(mats), it.count + 1)]
+    """M_0, ..., M_count of a PowerIterates whose A is an exact
+    polynomial: the integer recursion's iterates, made SeriesMatrix."""
+    A, p = it.module.matrix, it.module.p
+    D = radii._exact_scale(A)
+    return [SeriesMatrix.identity(p, it.module.rank)] + [
+        radii._scaled_matrix(p, N, D, s, K)
+        for s, N, K in radii._scaled_iterates(A, D, it.count, p)]
 
 
 def test_iterates_match_hand_values():
@@ -222,14 +225,14 @@ def test_scaled_iterates_match_series_recursion():
     covered = []
     for name in names():
         module = build(name).module
-        A = module.matrix
-        if A.max_known_order() is not None or any(
-                c.exact is None for row in A.entries for cell in row for c in cell.coeffs):
+        if radii._exact_scale(module.matrix) is None:
             continue
         for m in (module, module.dual()):
             it = assert_matches_reference(m, 60)
-            # all 61 iterates on the integer route: no handover step
+            # the integer route alone, all 60 steps inside the exact budget
             assert sorted(it.steps) == it.probe_steps()
+            assert all(K is None for _, _, K in radii._scaled_iterates(
+                m.matrix, radii._exact_scale(m.matrix), 60, m.p))
             assert sorted(it.records) == list(it.tail_range())
         covered.append(name)
     assert {"ex44_p5", "dual_ex44_p5", "rank3_n2_p5", "sum_exp_cancel_p5"} <= set(covered)
@@ -250,21 +253,79 @@ def _count_matmuls(monkeypatch):
     return calls
 
 
-def test_scaled_iterates_hand_over_before_a_demotion(monkeypatch):
-    # N_3 = -2**4200 passes DEMOTE_BITS: the series recursion takes over
-    # from M_2 and demotes M_3's product itself; M_2 lies below the tail
-    # 3..6, so it is dropped once M_3 is built
-    c = 2 ** 1400
-    module = DifferentialModule(SeriesMatrix.from_rational_rows(5, [[[c]]]), "huge")
-    calls = _count_matmuls(monkeypatch)
-    it = assert_matches_reference(module, 6)
-    scaled = dict(radii._scaled_iterates(module.matrix, 1, 6))
-    assert sorted(scaled) == [0, 1, 2]
-    assert radii._exact_matrix(5, scaled[2], 1).entries[0][0].coeffs[0].exact == c ** 2
-    assert sorted(it.steps) == [3, 4, 5, 6]
-    assert len(calls) == 6 - 2 + 6      # the handover's steps, then the reference's
-    big = it.steps[3].entries[0][0].coeffs[0]
-    assert big.exact is None and (c ** 3).bit_length() > DEMOTE_BITS
+def vp(q, p):
+    """v_p of a nonzero rational, by trial division."""
+    v, num, den = 0, q.numerator, q.denominator
+    while num % p == 0:
+        num, v = num // p, v + 1
+    while den % p == 0:
+        den, v = den // p, v - 1
+    return v
+
+
+def constant_powers(rows, count):
+    """M_s = (-A)**s, s = 0..count, of a constant A: plain Fraction
+    matrix powers, the iterates' closed form."""
+    m = len(rows)
+    mats = [[[F(int(i == j)) for j in range(m)] for i in range(m)]]
+    for _ in range(count):
+        mats.append([[-sum(x[k] * F(rows[k][j]) for k in range(m)) for j in range(m)]
+                     for x in mats[-1]])
+    return mats
+
+
+HUGE = 2 ** 1400
+
+
+@pytest.mark.parametrize("rows", [
+    [[HUGE]],
+    # D = 105, v_5(D) = 1: the residues carry a unit inverse and a shift
+    [[F(HUGE + 3, 3), F(5 * HUGE - 1, 15)], [F(HUGE - 7), F(-HUGE, 7)]],
+])
+def test_residue_iterates_agree_with_matrix_powers(rows):
+    # N_3 passes DEMOTE_BITS: from there the scaled iterates are residues
+    # mod p**K; every probe coefficient agrees with (-A)**s on each digit
+    # it claims, to absolute precision K - s v_p(D), and the tail reads
+    # are those of the exact powers
+    p, count = 5, 8
+    A = SeriesMatrix.from_rational_rows(p, [[[x] for x in row] for row in rows])
+    it = PowerIterates(DifferentialModule(A, "huge"), count)
+    D = radii._exact_scale(A)
+    K = math.ceil(DEMOTE_BITS / math.log2(p))
+    assert p ** K >= 2 ** DEMOTE_BITS > p ** (K - 1)
+    scaled = list(radii._scaled_iterates(A, D, count, p))
+    assert [k for _, _, k in scaled] == [None, None] + [K] * (count - 2)
+    powers = constant_powers(rows, count)
+    for s, N, _ in scaled[:2]:
+        assert [[cell[0] for cell in row] for row in N] == [
+            [q * D ** s for q in row] for row in powers[s]]
+    assert sorted(it.steps) == it.probe_steps() == [4, 6, 7, 8]
+    for s, M in it.steps.items():
+        for got, want in zip(M.entries, powers[s]):
+            for cell, q in zip(got, want):
+                x, = cell.coeffs
+                assert x.exact is None and x.u and x.v + x.N == K - s * vp(F(D), p)
+                assert vp(q - x.u * F(p) ** x.v, p) >= x.v + x.N
+    for r in RADII:
+        for j in range(len(rows)):
+            want = max(F(-min(vp(powers[s][i][j], p) for i in range(len(rows))), s)
+                       for s in it.tail_range())
+            assert it.column_beta(r, j) == (want, False, ())
+
+
+def test_residue_iterates_that_vanish_are_indeterminate():
+    # N_s = (-5**1000)**s is 0 mod p**K from s = 2 on, so no digit of the
+    # tail is known: the read is None, indeterminate and not a vanishing
+    # (5**3000 itself passes DEMOTE_BITS, so A would be capped)
+    wb = RadiusWorkbench(DifferentialModule(SeriesMatrix.from_rational_rows(
+        5, [[[5 ** 1000]]]), "deep"), WorkbenchConfig(iterates=4))
+    it = wb.iterates()
+    for r in RADII:
+        assert it.column_beta(r, 0) == (None, False, ("indeterminate",))
+    assert all(c.u == 0 and c.exact is None
+               for s in it.probe_steps() for c in it.steps[s].entries[0][0].coeffs)
+    sample = wb.top_radius(F(1, 4))
+    assert (sample.log_radius, sample.certified) == (F(-1, 4), False)
 
 
 LOG_MODULE = {"format": "padiff-module-v1", "name": "logmod", "prime": 3, "rank": 2,
